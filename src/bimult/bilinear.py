@@ -15,7 +15,7 @@ import numpy as np
 from .grid import FrequencyBox, PhysicalField, SpectralVector, l1_norm, l2_norm, synthesize
 from .lorentz import MeasuredValues
 
-__all__ = ["SymbolGrid", "apply_bilinear", "operator_ratio"]
+__all__ = ["SymbolGrid", "output_spectrum", "apply_bilinear", "operator_ratio"]
 
 
 @dataclass(frozen=True)
@@ -87,32 +87,43 @@ def _symbol_block(m: SymbolGrid, F: int) -> np.ndarray:
     return m.values[(sl,) * m.dim]
 
 
+def output_spectrum(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> SpectralVector:
+    """Spectrum u(zeta) = sum_{xi+eta=zeta} m f g of T_m(f, g) on the doubled band.
+
+    Accumulated over anti-diagonals in a fixed order over xi, so the
+    per-zeta summation is deterministic.
+    """
+    _check_compat(m, f, g)
+    F = f.box.radius
+    box_out = _output_box(f)
+    block = _symbol_block(m, F)
+    u = np.zeros(box_out.lattice_shape, dtype=complex)
+    gv = g.values
+    for xi in np.ndindex(*f.box.lattice_shape):
+        fval = f.values[xi]
+        if fval == 0:
+            continue
+        target = tuple(slice(i, i + 2 * F + 1) for i in xi)
+        u[target] += fval * block[xi] * gv
+    return SpectralVector(box_out, u)
+
+
 def apply_bilinear(
     m: SymbolGrid, f: SpectralVector, g: SpectralVector, mode: str = "antidiagonal"
 ) -> PhysicalField:
     """Evaluate the bilinear multiplier operator on band-limited inputs.
 
-    mode 'antidiagonal' accumulates u(zeta) = sum_{xi+eta=zeta} m f g over
-    anti-diagonals and synthesizes u on the doubled band; mode 'direct' is
-    the literal double-sum oracle (O(lattice^2 * grid), small inputs only).
+    mode 'antidiagonal' synthesizes `output_spectrum` on the doubled band;
+    mode 'direct' is the literal double-sum oracle (O(lattice^2 * grid),
+    small inputs only).
     """
+    if mode == "antidiagonal":
+        return synthesize(output_spectrum(m, f, g))
     _check_compat(m, f, g)
     n = f.box.dim
     F = f.box.radius
     box_out = _output_box(f)
     block = _symbol_block(m, F)
-
-    if mode == "antidiagonal":
-        u = np.zeros(box_out.lattice_shape, dtype=complex)
-        gv = g.values
-        # fixed iteration order over xi keeps the per-zeta summation deterministic
-        for xi in np.ndindex(*f.box.lattice_shape):
-            fval = f.values[xi]
-            if fval == 0:
-                continue
-            target = tuple(slice(i, i + 2 * F + 1) for i in xi)
-            u[target] += fval * block[xi] * gv
-        return synthesize(SpectralVector(box_out, u))
 
     if mode == "direct":
         P = box_out.n_phys

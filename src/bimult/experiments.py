@@ -19,15 +19,17 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bilinear import SymbolGrid, operator_ratio
-from .grid import FrequencyBox, SpectralVector
+from .bilinear import SymbolGrid, operator_ratio, output_spectrum
+from .grid import FrequencyBox, SpectralVector, l1_norm, l2_norm, synthesize
 from .lorentz import weak_quasinorm
 from .rowcol import CoeffMatrix
 from .symbols import (
     CounterexampleAConfig,
     CounterexampleBConfig,
+    _antidiagonal_signs,
+    _block_A,
+    _block_B,
     besov_norm,
-    block_A_symbol,
     block_B_level_measure_coeff,
     counterexample_B_block,
     count_representations,
@@ -234,11 +236,48 @@ def run_khintchine(config: dict, master_seed: int, threads: int = 1) -> Experime
 # growth experiments
 
 
-def _best_over_pool(evaluate, pool: int, threads: int = 1) -> tuple[float, int]:
-    """(max value, argmax draw index), draws evaluated in fixed order."""
-    vals = _map_ordered(evaluate, range(pool), threads)
-    best = max(range(pool), key=lambda i: (vals[i], -i))
-    return vals[best], best
+def _sign_pool_ratios(
+    cfg: CounterexampleAConfig | CounterexampleBConfig,
+    key: int,
+    m_plus: SymbolGrid,
+    f: SpectralVector,
+    center: int,
+    pool: int,
+    threads: int = 1,
+) -> list[float]:
+    """Operator ratios ||T_m(f, f)||_1 / ||f||_2^2 of the first `pool` sign draws of a block.
+
+    Draw d puts the signs of SignAssignment(cfg.block_seed(key, d)) on the
+    anti-diagonals l = j + k of cfg.interval(key), as the block builders do.
+    m_plus is the block with every sign +1, centered at `center`; its output
+    spectrum U is computed once, and a draw is the sign mask eps_{l(zeta)}
+    on U plus one synthesis.  That equals rebuilding the signed symbol bit
+    for bit on every nonzero value: the windows of distinct l are disjoint
+    (see growth_experiment_A) and IEEE negation is exact.
+    """
+    I = cfg.interval(key)
+    r = cfg.resolution
+    U = output_spectrum(m_plus, f, f)
+    lo, n_diag = 2 * I.start, 2 * len(I) - 1
+    # lattice index zeta lies within 0.2 r of r (l - 2 center) for the l feeding it;
+    # zeta outside every window has U(zeta) = 0, so its clipped sign is immaterial
+    diag = (U.box.frequencies() + r // 2) // r + 2 * center - lo
+    diag = np.clip(diag, 0, n_diag - 1)
+    nf = l2_norm(f)
+
+    def ratio_for(draw: int) -> float:
+        eps = _antidiagonal_signs(I, cfg.block_seed(key, draw))
+        mask = np.fromiter(eps.values(), dtype=float, count=n_diag)[diag]
+        u = SpectralVector(U.box, mask * U.values)
+        return l1_norm(synthesize(u)) / (nf * nf)
+
+    return _map_ordered(ratio_for, range(pool), threads)
+
+
+def _best_draw(ratios: list[float]) -> tuple[float, int]:
+    """(max ratio, first draw index attaining it)."""
+    best = max(range(len(ratios)), key=lambda i: (ratios[i], -i))
+    return ratios[best], best
 
 
 def growth_experiment_A(
@@ -251,18 +290,21 @@ def growth_experiment_A(
     field by a unimodular factor, so all measured magnitudes are unchanged
     while the grids stay small.  The trend constant is fitted at the first
     block.
+
+    The block's magnitude symbol and output spectrum are built once.  The
+    psi bumps have radius <= 1/10, so the terms of u(zeta) from cell (j, k)
+    sit within 0.2 of l = j + k; these windows are disjoint across l, and
+    each pool draw is the all-plus spectrum with the sign of its window
+    flipped, exactly (see `_sign_pool_ratios`).
     """
     rows = []
     for K in range(1, len(cfg.block_b) + 1):
         I = cfg.interval(K)
         center = (I.start + I.stop - 1) // 2
         f = test_function_A(K, cfg, center=center)
-
-        def ratio_for(draw: int, K=K, center=center, f=f) -> float:
-            m = block_A_symbol(cfg, K, cfg.block_seed(K, draw), center=center)
-            return operator_ratio(m, f, f)
-
-        measured, best = _best_over_pool(ratio_for, seeds_per_block, threads)
+        m_plus = _block_A(cfg, K, None, center)
+        ratios = _sign_pool_ratios(cfg, K, m_plus, f, center, seeds_per_block, threads)
+        measured, best = _best_draw(ratios)
         rho = cfg.rho(K)
         trend = rho**0.25 * rho ** (-cfg.dstar_exponent)
         rows.append(
@@ -306,17 +348,20 @@ def growth_experiment_B(
     The prediction is the Khintchine average computed in closed finite form:
     amplitude * sqrt(sum_l r(l)^2) / side_count, with r the anti-diagonal
     representation counts of the block's index interval.  No asymptotics.
+
+    As in growth-A, the pool is evaluated on one magnitude spectrum: bumps
+    of radius <= 1/10 confine the output of cell (j, k) to within 0.2 of
+    l = j + k (in lattice units before the 2^-N dilation), the windows of
+    distinct l are disjoint, and a draw's signs become an exact sign mask
+    on that spectrum (see `_sign_pool_ratios`).
     """
     rows = []
     for N in cfg.Ns:
         s = cfg.side_count(N)
         f = test_function_B(cfg, N)
-
-        def ratio_for(draw: int, N=N, f=f) -> float:
-            m = counterexample_B_block(cfg, N, seed=cfg.block_seed(N, draw))
-            return operator_ratio(m, f, f)
-
-        measured, best = _best_over_pool(ratio_for, seeds_per_block, threads)
+        m_plus = _block_B(cfg, N, None, None)
+        ratios = _sign_pool_ratios(cfg, N, m_plus, f, cfg.center(N), seeds_per_block, threads)
+        measured, best = _best_draw(ratios)
         sum_sq = count_representations(range(s)).sum_squares()
         predicted = cfg.amplitude(N) * float(sum_sq) ** 0.5 / s
         rows.append(

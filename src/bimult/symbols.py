@@ -74,14 +74,17 @@ class SignAssignment:
 def shell_rank(j: int, k: int) -> int:
     """1-based position of (j, k) in the shell-then-lex ordering of Z^2."""
     s = max(abs(j), abs(k))
-    rank = (2 * s - 1) ** 2 if s > 0 else 0
-    # cells of shell s in rows kk < j, then row j up to column k
-    for kk in range(-s, j):
-        rank += 2 * s + 1 if abs(kk) == s else 2
-    if abs(j) == s:
+    if s == 0:
+        return 1
+    # inner shells, then the cells of shell s in rows before j (row -s is
+    # full, rows strictly inside hold two cells), then row j up to column k
+    rank = (2 * s - 1) ** 2
+    if j == -s:
         rank += k + s
+    elif j == s:
+        rank += (2 * s + 1) + 2 * (2 * s - 1) + k + s
     else:
-        rank += sum(1 for ll in (-s, s) if ll < k)
+        rank += (2 * s + 1) + 2 * (j + s - 1) + (1 if k == s else 0)
     return rank + 1
 
 
@@ -158,6 +161,16 @@ def power_shell_sequence(box_radius: int, exponent: float) -> ShellSequence:
 # lattice-bump symbols
 
 
+def _check_symbol_bump(psi: BumpSpec) -> None:
+    """Bumps of radius <= 1/10 around lattice points are pairwise disjoint.
+
+    The growth experiments' sign pool also relies on it: a cell (j, k) then
+    feeds only output frequencies within 0.2 of j + k.
+    """
+    if psi.radius > 0.1 + 1e-12:
+        raise ValueError("bump support radius must be <= 1/10")
+
+
 def lattice_symbol(
     c: CoeffMatrix,
     psi: BumpSpec,
@@ -169,8 +182,7 @@ def lattice_symbol(
     `resolution` samples per unit cell; `center` shifts the lattice so that
     entry (k, l) is placed at (k - center[0], l - center[1]).
     """
-    if psi.radius > 0.1 + 1e-12:
-        raise ValueError("bump support radius must be <= 1/10")
+    _check_symbol_bump(psi)
     if not c.entries:
         raise ValueError("empty coefficient matrix")
     r = resolution
@@ -229,6 +241,7 @@ class CounterexampleAConfig:
             raise ValueError("blocks must satisfy b_{K+1} > 2 b_K")
         if any(b < 1 for b in bs):
             raise ValueError("block offsets must be positive")
+        _check_symbol_bump(self.psi)
         object.__setattr__(self, "block_b", bs)
 
     def interval(self, K: int) -> range:
@@ -247,20 +260,31 @@ class CounterexampleAConfig:
         return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
 
 
+def _antidiagonal_signs(I: range, seed: int | None) -> dict[int, int]:
+    """eps_l for every anti-diagonal l = j + k of I x I; all +1 when seed is None."""
+    ls = range(2 * I.start, 2 * I.stop - 1)
+    if seed is None:
+        return dict.fromkeys(ls, 1)
+    signs = SignAssignment(seed)
+    return {l: signs.sign(l) for l in ls}
+
+
+def _block_A_entries(cfg: CounterexampleAConfig, K: int, seed: int | None) -> dict:
+    I = cfg.interval(K)
+    eps = _antidiagonal_signs(I, seed)
+    return {(j, k): eps[j + k] * cfg.magnitude(j, k) for j in I for k in I}
+
+
 def counterexample_A(
     cfg: CounterexampleAConfig, block_seeds: dict[int, int] | None = None
 ) -> CoeffMatrix:
     """Coefficients on the union of blocks: signs constant along anti-diagonals."""
     entries: dict = {}
     for K in range(1, len(cfg.block_b) + 1):
-        seed = (block_seeds or {}).get(K, cfg.block_seed(K))
-        signs = SignAssignment(seed)
-        I = cfg.interval(K)
-        for j in I:
-            for k in I:
-                if (j, k) in entries:
-                    raise ValueError("overlapping blocks")
-                entries[(j, k)] = signs.sign(j + k) * cfg.magnitude(j, k)
+        block = _block_A_entries(cfg, K, (block_seeds or {}).get(K, cfg.block_seed(K)))
+        if not entries.keys().isdisjoint(block):
+            raise ValueError("overlapping blocks")
+        entries.update(block)
     return CoeffMatrix(entries)
 
 
@@ -282,11 +306,12 @@ def block_A_symbol(
     cfg: CounterexampleAConfig, K: int, seed: int, center: int = 0
 ) -> SymbolGrid:
     """Single-block lattice symbol for block K with the given sign seed."""
-    signs = SignAssignment(seed)
-    I = cfg.interval(K)
-    entries = {
-        (j, k): signs.sign(j + k) * cfg.magnitude(j, k) for j in I for k in I
-    }
+    return _block_A(cfg, K, seed, center)
+
+
+def _block_A(cfg: CounterexampleAConfig, K: int, seed: int | None, center: int) -> SymbolGrid:
+    """`block_A_symbol`; seed None sets every sign +1, the magnitudes all draws share."""
+    entries = _block_A_entries(cfg, K, seed)
     return lattice_symbol(CoeffMatrix(entries), cfg.psi, cfg.resolution, (center, center))
 
 
@@ -321,6 +346,7 @@ class CounterexampleBConfig:
             raise ValueError("paper mode requires even N")
         if any(N < 1 for N in Ns):
             raise ValueError("N must be positive")
+        _check_symbol_bump(self.psi)
         object.__setattr__(self, "Ns", Ns)
         # disjointness of the dilated block supports, checked arithmetically:
         # block N occupies xi in [(b_N - 1)/2^N, (b_N + s_N)/2^N]
@@ -345,20 +371,28 @@ class CounterexampleBConfig:
     def offset(self, N: int) -> int:
         return self.side_count(N) * 2**N
 
+    def interval(self, N: int) -> range:
+        """Block index interval {b_N .. b_N + s_N - 1}."""
+        b = self.offset(N)
+        return range(b, b + self.side_count(N))
+
+    def center(self, N: int) -> int:
+        """Default block center: the grids are built in coordinates centered here."""
+        return self.offset(N) + self.side_count(N) // 2
+
     def block_seed(self, N: int, draw: int = 0) -> int:
         raw = struct.pack("<qqq", self.master_seed, N, draw)
         return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
 
 
 def _block_B_layout(cfg: CounterexampleBConfig, N: int, center: int | None):
-    s = cfg.side_count(N)
-    b = cfg.offset(N)
+    I = cfg.interval(N)
     if center is None:
-        center = b + s // 2
-    local = [j - center for j in range(b, b + s)]
+        center = cfg.center(N)
+    local = [j - center for j in I]
     r = cfg.resolution
     F = r * (max(abs(local[0]), abs(local[-1])) + 1)
-    return s, b, center, local, r, F
+    return I, center, local, r, F
 
 
 def counterexample_B_block(
@@ -371,8 +405,15 @@ def counterexample_B_block(
     """
     if seed is None:
         seed = cfg.block_seed(N)
-    s, b, center, local, r, F = _block_B_layout(cfg, N, center)
-    signs = SignAssignment(seed)
+    return _block_B(cfg, N, seed, center)
+
+
+def _block_B(
+    cfg: CounterexampleBConfig, N: int, seed: int | None, center: int | None
+) -> SymbolGrid:
+    """`counterexample_B_block`; seed None sets every sign +1."""
+    I, center, local, r, F = _block_B_layout(cfg, N, center)
+    eps = _antidiagonal_signs(I, seed)
     amp = cfg.amplitude(N)
     P = 2 * F + 1
     w = int(np.floor(cfg.psi.radius * r + 1e-9))
@@ -380,15 +421,11 @@ def counterexample_B_block(
     patch1 = cfg.psi.profile(np.abs(off) / r)
     patch = np.outer(patch1, patch1)
     values = np.zeros((P, P), dtype=complex)
-    for a, jl in enumerate(local):
-        j = b + a
+    for j, jl in zip(I, local):
         i0 = F + r * jl
-        for bb, kl in enumerate(local):
-            k = b + bb
+        for k, kl in zip(I, local):
             j0 = F + r * kl
-            values[i0 - w : i0 + w + 1, j0 - w : j0 + w + 1] += (
-                amp * signs.sign(j + k)
-            ) * patch
+            values[i0 - w : i0 + w + 1, j0 - w : j0 + w + 1] += (amp * eps[j + k]) * patch
     spacing = 2.0**-N / r
     return SymbolGrid(
         2,
@@ -410,7 +447,7 @@ def test_function_B(
     cfg: CounterexampleBConfig, N: int, center: int | None = None
 ) -> SpectralVector:
     """Companion test function: one phi-bump per block index, unit L2 norm."""
-    s, b, center, local, r, F = _block_B_layout(cfg, N, center)
+    _, center, local, r, F = _block_B_layout(cfg, N, center)
     box = FrequencyBox(1, F, cfg.oversample, float(r) * 2**N)
     p = np.arange(-F, F + 1)
     values = np.zeros(2 * F + 1, dtype=complex)

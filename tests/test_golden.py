@@ -1,0 +1,27 @@
+"""Golden records: canonical growth JSONL pinned across commits.
+
+Each file under tests/golden/ holds one line,
+`run_experiment(name, config, MASTER_SEED).to_json_line()`, for the config
+listed below.  A fresh run must reproduce it byte for byte; a change that
+alters these bytes on purpose declares it and rewrites the file.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from bimult.experiments import run_experiment
+
+MASTER_SEED = 20260824  # the acceptance gate's seed
+GOLDEN_DIR = Path(__file__).parent / "golden"
+GOLDEN = {
+    "growth-A.jsonl": ("growth-A", {"block_b": [4, 16], "pool": 4}),
+    "growth-B.jsonl": ("growth-B", {"mode": "desk", "N": [1, 2], "pool": 4}),
+}
+
+
+@pytest.mark.parametrize("fname", sorted(GOLDEN))
+def test_golden_record_byte_identical(fname):
+    name, config = GOLDEN[fname]
+    expected = (GOLDEN_DIR / fname).read_text()
+    assert run_experiment(name, config, MASTER_SEED).to_json_line() + "\n" == expected

@@ -2,9 +2,12 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from bimult.bilinear import SymbolGrid, operator_ratio
 from bimult.bumps import BumpSpec
-from bimult.grid import l2_norm
+from bimult.grid import FrequencyBox, SpectralVector, l2_norm
 from bimult.lorentz import MeasuredValues, lp_norm, weak_quasinorm
 from bimult.rowcol import CoeffMatrix
 from bimult.symbols import (
@@ -12,7 +15,9 @@ from bimult.symbols import (
     CounterexampleBConfig,
     ReprTable,
     SignAssignment,
+    _shell_order,
     besov_norm,
+    block_A_symbol,
     block_B_l4_fourth_coeff,
     counterexample_A,
     counterexample_B_block,
@@ -71,6 +76,8 @@ def test_shell_rank_matches_enumeration():
         ((max(abs(k), abs(l)), k, l) for k in range(-3, 4) for l in range(-3, 4))
     )
     for rank, (_, k, l) in enumerate(cells, start=1):
+        assert shell_rank(k, l) == rank
+    for rank, (k, l) in enumerate(_shell_order(40), start=1):
         assert shell_rank(k, l) == rank
 
 
@@ -185,6 +192,82 @@ def test_counterexample_B_l4_law_exact():
 def test_counterexample_B_paper_mode_rejects_odd_N():
     with pytest.raises(ValueError):
         CounterexampleBConfig(mode="paper", Ns=(3,), master_seed=0)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda psi: CounterexampleAConfig(
+            block_b=(4,), dstar_exponent=0.125, master_seed=0, psi=psi
+        ),
+        lambda psi: CounterexampleBConfig(mode="desk", Ns=(1,), master_seed=0, psi=psi),
+    ],
+    ids=["A", "B"],
+)
+def test_block_configs_reject_wide_bumps(make):
+    # wider bumps would overlap their neighbours and mix anti-diagonal signs
+    with pytest.raises(ValueError, match="1/10"):
+        make(BumpSpec(radius=0.3))
+    make(BumpSpec(radius=0.1, plateau=0.05))
+
+
+# ---------------------------------------------------------------------------
+# modulation invariance of the block constructions under `center`
+
+
+def _embed_symbol(m: SymbolGrid, R: int) -> SymbolGrid:
+    return SymbolGrid(m.dim, R, np.pad(m.values, R - m.radius), m.spacing)
+
+
+def _embed_input(f: SpectralVector, R: int) -> SpectralVector:
+    box = FrequencyBox(f.box.dim, R, f.box.oversample, f.box.period)
+    return SpectralVector(box, np.pad(f.values, R - f.box.radius))
+
+
+def _ratios_on_common_grid(build, centers):
+    """operator_ratio(m, f, f) of each centered (m, f), on one common grid."""
+    pairs = [build(c) for c in centers]
+    R = max(max(m.radius, f.box.radius) for m, f in pairs)
+    ratios = []
+    for m, f in pairs:
+        f = _embed_input(f, R)
+        ratios.append(operator_ratio(_embed_symbol(m, R), f, f))
+    return ratios
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(
+    b=st.integers(1, 3),
+    resolution=st.integers(10, 14),
+    seed=st.integers(0, 2**63 - 1),
+    shifts=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+)
+def test_block_A_ratio_invariant_under_center_shift(b, resolution, seed, shifts):
+    cfg = CounterexampleAConfig(
+        block_b=(b,), dstar_exponent=0.125, master_seed=0, resolution=resolution
+    )
+    centers = [b + s for s in shifts]
+    r0, r1 = _ratios_on_common_grid(
+        lambda c: (block_A_symbol(cfg, 1, seed, center=c), make_f_A(1, cfg, center=c)),
+        centers,
+    )
+    assert r1 == pytest.approx(r0, rel=1e-9)
+
+
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(
+    N=st.integers(1, 2),
+    seed=st.integers(0, 2**63 - 1),
+    shifts=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
+)
+def test_block_B_ratio_invariant_under_center_shift(N, seed, shifts):
+    cfg = CounterexampleBConfig(mode="desk", Ns=(N,), master_seed=0, resolution=10)
+    centers = [cfg.center(N) + s for s in shifts]
+    r0, r1 = _ratios_on_common_grid(
+        lambda c: (counterexample_B_block(cfg, N, seed=seed, center=c), make_f_B(cfg, N, center=c)),
+        centers,
+    )
+    assert r1 == pytest.approx(r0, rel=1e-9)
 
 
 def test_companion_B_unit_norm():
