@@ -1,4 +1,4 @@
-"""Golden records: canonical growth JSONL pinned across commits.
+"""Golden records: canonical experiment JSONL pinned across commits.
 
 Each file under tests/golden/ holds one line,
 `run_experiment(name, config, MASTER_SEED).to_json_line()`, for the config
@@ -17,6 +17,14 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 GOLDEN = {
     "growth-A.jsonl": ("growth-A", {"block_b": [4, 16], "pool": 4}),
     "growth-B.jsonl": ("growth-B", {"mode": "desk", "N": [1, 2], "pool": 4}),
+    "khintchine.jsonl": (
+        "khintchine",
+        {"sizes": [1, 2, 3], "trials": 20000, "equal_weight_trials": 20000},
+    ),
+    "boundedness-lattice.jsonl": ("boundedness", {"f_mode": "lattice", "trials": 4}),
+    "boundedness-besov.jsonl": ("boundedness", {"f_mode": "besov", "trials": 4}),
+    "counting.jsonl": ("counting", {"M": [2, 3, 32]}),
+    "levelset.jsonl": ("levelset", {"mode": "desk", "N": [2], "resolution": 10}),
 }
 
 
