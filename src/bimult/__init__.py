@@ -53,7 +53,6 @@ from .symbols import (
 )
 from .wavelets import (
     lemma_discrete_ratio,
-    meyer_profiles,
     wavelet_coefficients,
     wavelet_indices,
 )

@@ -54,10 +54,6 @@ class SymbolGrid:
     def cell_measure(self) -> float:
         return self.spacing**self.dim
 
-    def coords(self) -> np.ndarray:
-        """Coordinates along one axis."""
-        return (np.arange(-self.radius, self.radius + 1)) * self.spacing
-
     def measured(self) -> MeasuredValues:
         return MeasuredValues.of(self.values, self.cell_measure)
 
@@ -150,9 +146,15 @@ def apply_bilinear(
     raise ValueError(f"unknown mode {mode!r}")
 
 
-def operator_ratio(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> float:
-    """||T_m(f,g)||_1 / (||f||_2 ||g||_2)."""
+def _input_norms(f: SpectralVector, g: SpectralVector) -> float:
+    """||f||_2 ||g||_2, the operator ratio's denominator; rejects zero inputs."""
     nf, ng = l2_norm(f), l2_norm(g)
     if nf == 0.0 or ng == 0.0:
         raise ValueError("inputs must have nonzero L2 norm")
-    return l1_norm(apply_bilinear(m, f, g)) / (nf * ng)
+    return nf * ng
+
+
+def operator_ratio(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> float:
+    """||T_m(f,g)||_1 / (||f||_2 ||g||_2)."""
+    norms = _input_norms(f, g)
+    return l1_norm(apply_bilinear(m, f, g)) / norms

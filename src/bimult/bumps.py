@@ -38,22 +38,17 @@ class BumpSpec:
     """Even smooth bump with support radius `radius` (in the max norm).
 
     plateau: inner radius on which the profile equals 1; None selects the
-    pure mollifier shape.  normalization applies at sampling time:
-    'none', 'unit_sup' (peak 1, automatic for the plateau shape) or
-    'unit_l2' (used by callers that need unit-normalized test functions).
+    pure mollifier shape.  Both shapes peak at 1.
     """
 
     radius: float
     plateau: float | None = None
-    normalization: str = "none"
 
     def __post_init__(self):
         if not 0 < self.radius:
             raise ValueError("radius must be positive")
         if self.plateau is not None and not 0 < self.plateau < self.radius:
             raise ValueError("plateau must lie strictly inside the support")
-        if self.normalization not in ("none", "unit_sup", "unit_l2"):
-            raise ValueError(f"unknown normalization {self.normalization!r}")
 
     def profile(self, u) -> np.ndarray:
         """Profile value at scalar distance(s) u >= 0 from the center."""
@@ -63,8 +58,6 @@ class BumpSpec:
             inside = u < self.radius
             s = u[inside] / self.radius
             out[inside] = np.exp(1.0 - 1.0 / (1.0 - s * s))
-            if self.normalization == "unit_sup":
-                pass  # exp(1 - 1/(1 - 0)) = 1 at the center already
             return out
         a, r = self.plateau, self.radius
         return smooth_step((r - u) / (r - a))
@@ -73,7 +66,4 @@ class BumpSpec:
         """Evaluate at points x of shape (..., d) using the max norm."""
         x = np.asarray(x, dtype=float)
         u = np.max(np.abs(x), axis=-1) if x.ndim > 1 else np.abs(x)
-        return self.profile(u)
-
-    def sample_1d(self, u) -> np.ndarray:
         return self.profile(u)

@@ -19,13 +19,15 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bilinear import SymbolGrid, apply_bilinear, operator_ratio
+from .bilinear import SymbolGrid, _input_norms, apply_bilinear
 from .bumps import BumpSpec
 from .experiments import (
     EXPERIMENTS,
     ExperimentRecord,
+    _guard_overwrite,
     config_hash,
     run_experiment,
+    write_records,
 )
 from .grid import l1_norm, spectral_from_json
 from .rowcol import CoeffMatrix, decompose, verify_partition
@@ -43,8 +45,9 @@ _FMT_VERSION = 1
 
 def write_symbol(path: str, m: SymbolGrid, meta: dict, force: bool = False) -> None:
     """Binary dump (little-endian complex64, row-major) plus a JSON sidecar."""
-    if os.path.exists(path) and not force:
-        raise FileExistsError(f"refusing to overwrite {path} (use --force)")
+    side_path = path + ".json"
+    for p in (path, side_path):  # both checked before either is opened: no half pair
+        _guard_overwrite(p, force)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
         fh.write(struct.pack("<IIId", _FMT_VERSION, m.dim, m.radius, m.spacing))
@@ -59,9 +62,6 @@ def write_symbol(path: str, m: SymbolGrid, meta: dict, force: bool = False) -> N
             "provenance": m.provenance,
         }
     )
-    side_path = path + ".json"
-    if os.path.exists(side_path) and not force:
-        raise FileExistsError(f"refusing to overwrite {side_path} (use --force)")
     with open(side_path, "w") as fh:
         json.dump(sidecar, fh, sort_keys=True, indent=2)
         fh.write("\n")
@@ -88,11 +88,6 @@ def _require_seed(args) -> int:
     if env is not None:
         return int(env)
     raise ValueError("a master seed is required (--seed or BIMULT_SEED)")
-
-
-def _guard_overwrite(path: str, force: bool) -> None:
-    if os.path.exists(path) and not force:
-        raise FileExistsError(f"refusing to overwrite {path} (use --force)")
 
 
 def _cmd_gen_symbol(args) -> int:
@@ -161,15 +156,12 @@ def _cmd_apply(args) -> int:
         f = spectral_from_json(fh.read())
     with open(args.g) as fh:
         g = spectral_from_json(fh.read())
-    field = apply_bilinear(m, f, g)
-    ratio = operator_ratio(m, f, g)
+    norms = _input_norms(f, g)
+    l1 = l1_norm(apply_bilinear(m, f, g))
+    ratio = l1 / norms  # operator_ratio(m, f, g), without evaluating the operator twice
     if args.out:
         _guard_overwrite(args.out, args.force)
-        payload = {
-            "toolVersion": __version__,
-            "l1Norm": l1_norm(field),
-            "operatorRatio": ratio,
-        }
+        payload = {"toolVersion": __version__, "l1Norm": l1, "operatorRatio": ratio}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)
             fh.write("\n")
@@ -200,13 +192,13 @@ def _experiment_config(args) -> dict:
 def _cmd_experiment(args) -> int:
     seed = _require_seed(args)
     cfg = _experiment_config(args)
-    rec = run_experiment(args.name, cfg, seed, threads=args.threads)
+    # every record carries its config unchanged, so the output path is known up front
     out_dir = args.out or "."
     os.makedirs(out_dir, exist_ok=True)
-    path = os.path.join(out_dir, f"{args.name}-{rec.config_hash}-{seed}.jsonl")
+    path = os.path.join(out_dir, f"{args.name}-{config_hash(cfg)}-{seed}.jsonl")
     _guard_overwrite(path, args.force)
-    with open(path, "w") as fh:
-        fh.write(rec.to_json_line() + "\n")
+    rec = run_experiment(args.name, cfg, seed, threads=args.threads)
+    write_records(path, [rec], args.force)
     status = "PASS" if rec.summary.get("passed", True) else "FAIL"
     print(f"{args.name}: {status} ({path}, {rec.wall_clock:.2f}s)")
     return 0 if rec.summary.get("passed", True) else 2

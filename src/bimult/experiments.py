@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -29,6 +30,7 @@ from .symbols import (
     _antidiagonal_signs,
     _block_A,
     _block_B,
+    _bump_train,
     besov_norm,
     block_B_level_measure_coeff,
     counterexample_B_block,
@@ -131,11 +133,14 @@ class ExperimentRecord:
         )
 
 
-def write_records(path, records, force: bool = False) -> None:
-    import os
-
+def _guard_overwrite(path, force: bool) -> None:
+    """Refuse to replace an existing output unless forced; call before writing anything."""
     if os.path.exists(path) and not force:
-        raise FileExistsError(f"refusing to overwrite {path} (use force)")
+        raise FileExistsError(f"refusing to overwrite {path} (use --force)")
+
+
+def write_records(path, records, force: bool = False) -> None:
+    _guard_overwrite(path, force)
     with open(path, "w") as fh:
         for rec in records:
             fh.write(rec.to_json_line() + "\n")
@@ -420,11 +425,9 @@ def _random_inputs(box: FrequencyBox, rng: np.random.Generator) -> SpectralVecto
 
 def _aligned_inputs(box: FrequencyBox, resolution: int) -> SpectralVector:
     """All-ones bumps at the integer lattice frequencies inside the band."""
-    p = np.arange(-box.radius, box.radius + 1)
-    vals = np.zeros(2 * box.radius + 1, dtype=complex)
-    for j in range(-box.radius // resolution, box.radius // resolution + 1):
-        vals += _CORPUS_PHI.profile(np.abs(p / resolution - j))
-    return SpectralVector(box, vals)
+    F = box.radius
+    centers = range(-F // resolution, F // resolution + 1)
+    return SpectralVector(box, _bump_train(_CORPUS_PHI, F, resolution, centers))
 
 
 def _corpus_symbol(f_mode: str, rng, lattice_radius: int, resolution: int):

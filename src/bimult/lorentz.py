@@ -52,15 +52,6 @@ class RearrangementProfile:
     sorted_magnitudes: np.ndarray = field(repr=False)
     breakpoints: np.ndarray = field(repr=False)
 
-    def value_at(self, t: float) -> float:
-        """Profile value at t > 0 (0 beyond the support)."""
-        if t <= 0:
-            raise ValueError("t must be positive")
-        j = int(np.searchsorted(self.breakpoints, t, side="left"))
-        if j >= self.sorted_magnitudes.size:
-            return 0.0
-        return float(self.sorted_magnitudes[j])
-
 
 def rearrangement(v: MeasuredValues) -> RearrangementProfile:
     """Non-increasing rearrangement with cumulative measure breakpoints."""

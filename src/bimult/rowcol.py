@@ -39,10 +39,6 @@ class CoeffMatrix:
         clean = {(int(k), int(l)): complex(v) for (k, l), v in self.entries.items()}
         object.__setattr__(self, "entries", clean)
 
-    @property
-    def support(self) -> list:
-        return list(self.entries.keys())
-
     def weak4(self) -> float:
         """l^{4,inf} quasinorm of the coefficient family (counting measure)."""
         vals = np.array(list(self.entries.values())) if self.entries else np.array([])

@@ -110,15 +110,6 @@ class ShellSequence:
             raise ValueError("dstar must be non-increasing")
         object.__setattr__(self, "dstar", d)
 
-    def value(self, k: int, l: int) -> float:
-        M = self.box_radius
-        if max(abs(k), abs(l)) > M:
-            raise ValueError("index outside the box")
-        s = max(abs(k), abs(l))
-        inner = (2 * s - 1) ** 2 if s > 0 else 0
-        shell = [c for c in _shell_order(M) if max(abs(c[0]), abs(c[1])) == s]
-        return float(self.dstar[inner + shell.index((k, l))])
-
     def coeff_matrix(self) -> CoeffMatrix:
         order = _shell_order(self.box_radius)
         return CoeffMatrix(
@@ -171,6 +162,41 @@ def _check_symbol_bump(psi: BumpSpec) -> None:
         raise ValueError("bump support radius must be <= 1/10")
 
 
+def _bump_samples(psi: BumpSpec, resolution: int) -> np.ndarray:
+    """psi at the offsets -w..w of a grid with `resolution` samples per unit."""
+    # samples on the support boundary evaluate to exactly 0, so the closed width is safe
+    w = int(np.floor(psi.radius * resolution + 1e-9))
+    return psi.profile(np.abs(np.arange(-w, w + 1)) / resolution)
+
+
+def _bump_patch(psi: BumpSpec, resolution: int) -> np.ndarray:
+    """Patch Psi(x, y) = psi(x) psi(y): C-infinity in both variables (a max-norm
+    radial profile would have gradient kinks on the diagonals), same support box."""
+    a = _bump_samples(psi, resolution)
+    return np.outer(a, a)
+
+
+def _stamp(entries: dict, psi: BumpSpec, resolution: int, F: int) -> np.ndarray:
+    """(2F+1)^2 samples of sum v * Psi(. - k, . - l) over the entries {(k, l): v}."""
+    patch = _bump_patch(psi, resolution)
+    w = patch.shape[0] // 2
+    values = np.zeros((2 * F + 1, 2 * F + 1), dtype=complex)
+    for (k, l), v in entries.items():
+        i0 = F + resolution * k
+        j0 = F + resolution * l
+        values[i0 - w : i0 + w + 1, j0 - w : j0 + w + 1] += v * patch
+    return values
+
+
+def _bump_train(phi: BumpSpec, F: int, resolution: int, centers) -> np.ndarray:
+    """sum over c in centers, in order, of phi(p / resolution - c) at p = -F..F."""
+    p = np.arange(-F, F + 1)
+    values = np.zeros(2 * F + 1, dtype=complex)
+    for c in centers:
+        values += phi.profile(np.abs(p / resolution - c))
+    return values
+
+
 def lattice_symbol(
     c: CoeffMatrix,
     psi: BumpSpec,
@@ -186,27 +212,12 @@ def lattice_symbol(
     if not c.entries:
         raise ValueError("empty coefficient matrix")
     r = resolution
-    ks = [k - center[0] for k, _ in c.entries]
-    ls = [l - center[1] for _, l in c.entries]
-    M = max(max(map(abs, ks)), max(map(abs, ls)))
-    F = r * (M + 1)
-    P = 2 * F + 1
-    # samples on the support boundary evaluate to exactly 0, so the closed width is safe
-    w = int(np.floor(psi.radius * r + 1e-9))
-    off = np.arange(-w, w + 1)
-    # tensor-product patch: C-infinity in both variables (a max-norm radial
-    # profile would have gradient kinks on the diagonals), same support box
-    patch1 = psi.profile(np.abs(off) / r)
-    patch = np.outer(patch1, patch1)
-    values = np.zeros((P, P), dtype=complex)
-    for (k, l), v in c.entries.items():
-        i0 = F + r * (k - center[0])
-        j0 = F + r * (l - center[1])
-        values[i0 - w : i0 + w + 1, j0 - w : j0 + w + 1] += v * patch
+    local = {(k - center[0], l - center[1]): v for (k, l), v in c.entries.items()}
+    F = r * (max(max(abs(k), abs(l)) for k, l in local) + 1)
     return SymbolGrid(
         2,
         F,
-        values,
+        _stamp(local, psi, r, F),
         spacing=1.0 / r,
         provenance={"generator": "lattice_symbol", "resolution": r, "center": list(center)},
     )
@@ -216,8 +227,16 @@ def lattice_symbol(
 # counterexample A: anti-diagonal signs on a single lattice
 
 
+class _BlockSeeds:
+    """Sign seed of draw `draw` for block `key`, hashed from the master seed."""
+
+    def block_seed(self, key: int, draw: int = 0) -> int:
+        raw = struct.pack("<qqq", self.master_seed, key, draw)
+        return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
+
+
 @dataclass(frozen=True)
-class CounterexampleAConfig:
+class CounterexampleAConfig(_BlockSeeds):
     """Blocks I_K = {b_K .. 2 b_K - 1} with anti-diagonal signs and shell magnitudes.
 
     block_b: strictly increasing with b_{K+1} > 2 b_K, so the blocks are
@@ -255,10 +274,6 @@ class CounterexampleAConfig:
         """Shell-monotone magnitude d_{j,k} = (shell-lex rank)^(-exponent)."""
         return float(shell_rank(j, k)) ** (-self.dstar_exponent)
 
-    def block_seed(self, K: int, draw: int = 0) -> int:
-        raw = struct.pack("<qqq", self.master_seed, K, draw)
-        return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
-
 
 def _antidiagonal_signs(I: range, seed: int | None) -> dict[int, int]:
     """eps_l for every anti-diagonal l = j + k of I x I; all +1 when seed is None."""
@@ -291,15 +306,10 @@ def counterexample_A(
 def test_function_A(K: int, cfg: CounterexampleAConfig, center: int = 0) -> SpectralVector:
     """f_K with one frequency bump per block index, on the torus of period r."""
     r = cfg.resolution
-    I = cfg.interval(K)
-    max_idx = max(abs(j - center) for j in I)
-    F = r * (max_idx + 1)
+    local = [j - center for j in cfg.interval(K)]
+    F = r * (max(map(abs, local)) + 1)
     box = FrequencyBox(1, F, cfg.oversample, float(r))
-    p = np.arange(-F, F + 1)
-    values = np.zeros(2 * F + 1, dtype=complex)
-    for j in I:
-        values += cfg.phi_hat.profile(np.abs(p / r - (j - center)))
-    return SpectralVector(box, values)
+    return SpectralVector(box, _bump_train(cfg.phi_hat, F, r, local))
 
 
 def block_A_symbol(
@@ -320,7 +330,7 @@ def _block_A(cfg: CounterexampleAConfig, K: int, seed: int | None, center: int) 
 
 
 @dataclass(frozen=True)
-class CounterexampleBConfig:
+class CounterexampleBConfig(_BlockSeeds):
     """Dilated block family: bumps of width 2^-N at spacing 2^-N, coherent signs.
 
     mode 'paper' uses side count 2^(N^2 + N/2) and amplitude 2^(-n N^2 / 2)
@@ -380,10 +390,6 @@ class CounterexampleBConfig:
         """Default block center: the grids are built in coordinates centered here."""
         return self.offset(N) + self.side_count(N) // 2
 
-    def block_seed(self, N: int, draw: int = 0) -> int:
-        raw = struct.pack("<qqq", self.master_seed, N, draw)
-        return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
-
 
 def _block_B_layout(cfg: CounterexampleBConfig, N: int, center: int | None):
     I = cfg.interval(N)
@@ -415,23 +421,14 @@ def _block_B(
     I, center, local, r, F = _block_B_layout(cfg, N, center)
     eps = _antidiagonal_signs(I, seed)
     amp = cfg.amplitude(N)
-    P = 2 * F + 1
-    w = int(np.floor(cfg.psi.radius * r + 1e-9))
-    off = np.arange(-w, w + 1)
-    patch1 = cfg.psi.profile(np.abs(off) / r)
-    patch = np.outer(patch1, patch1)
-    values = np.zeros((P, P), dtype=complex)
-    for j, jl in zip(I, local):
-        i0 = F + r * jl
-        for k, kl in zip(I, local):
-            j0 = F + r * kl
-            values[i0 - w : i0 + w + 1, j0 - w : j0 + w + 1] += (amp * eps[j + k]) * patch
-    spacing = 2.0**-N / r
+    entries = {
+        (jl, kl): amp * eps[j + k] for j, jl in zip(I, local) for k, kl in zip(I, local)
+    }
     return SymbolGrid(
         2,
         F,
-        values,
-        spacing=spacing,
+        _stamp(entries, cfg.psi, r, F),
+        spacing=2.0**-N / r,
         provenance={
             "generator": "counterexample_B_block",
             "mode": cfg.mode,
@@ -449,10 +446,7 @@ def test_function_B(
     """Companion test function: one phi-bump per block index, unit L2 norm."""
     _, center, local, r, F = _block_B_layout(cfg, N, center)
     box = FrequencyBox(1, F, cfg.oversample, float(r) * 2**N)
-    p = np.arange(-F, F + 1)
-    values = np.zeros(2 * F + 1, dtype=complex)
-    for jl in local:
-        values += cfg.phi_hat.profile(np.abs(p / r - jl))
+    values = _bump_train(cfg.phi_hat, F, r, local)
     norm = np.linalg.norm(values) * box.period**0.5
     if norm == 0.0:
         raise ValueError("resolution too coarse: empty bump samples")
@@ -551,19 +545,6 @@ class ReprTable:
         return one_d**self.n
 
 
-def bump_lp_factor_1d(psi: BumpSpec, p: float, quad_points: int = 20001) -> float:
-    """Fine-quadrature value of the 1D integral of |psi|^p over its support."""
-    u = np.linspace(-psi.radius, psi.radius, quad_points)
-    return float(np.trapezoid(psi.profile(np.abs(u)) ** p, u))
-
-
-def _sampled_patch_1d(cfg: CounterexampleBConfig) -> np.ndarray:
-    """1D bump samples on the block's own grid, matching the materialized patch."""
-    r = cfg.resolution
-    w = int(np.floor(cfg.psi.radius * r + 1e-9))
-    return cfg.psi.profile(np.abs(np.arange(-w, w + 1)) / r)
-
-
 def block_B_l4_fourth_coeff(cfg: CounterexampleBConfig, N: int) -> float:
     """||block symbol||_L4^4 from coefficient arithmetic, no grid materialized.
 
@@ -572,7 +553,7 @@ def block_B_l4_fourth_coeff(cfg: CounterexampleBConfig, N: int) -> float:
     resolution-level samples the grid holds, making the dual-path comparison
     against the materialized grid an exact bookkeeping identity.
     """
-    a = _sampled_patch_1d(cfg)
+    a = _bump_samples(cfg.psi, cfg.resolution)
     q4 = float(np.sum(a**4)) / cfg.resolution
     s = cfg.side_count(N)
     return cfg.amplitude(N) ** 4 * float(s) ** 2 * 2.0 ** (-2 * N) * q4**2
@@ -587,8 +568,8 @@ def block_B_level_measure_coeff(cfg: CounterexampleBConfig, N: int, lam: float) 
     amp = cfg.amplitude(N)
     if lam >= amp:
         return 0.0
-    a = _sampled_patch_1d(cfg)
-    cells = float(np.count_nonzero(np.outer(a, a) > lam / amp))
+    patch = _bump_patch(cfg.psi, cfg.resolution)
+    cells = float(np.count_nonzero(patch > lam / amp))
     s = cfg.side_count(N)
     h = 2.0 ** (-N) / cfg.resolution
     return float(s) ** 2 * cells * h * h

@@ -27,7 +27,6 @@ __all__ = [
     "meyer_father_hat",
     "meyer_mother_hat",
     "meyer_physical",
-    "meyer_profiles",
     "wavelet_indices",
     "wavelet_coefficients",
     "lemma_discrete_ratio",
@@ -69,11 +68,6 @@ def meyer_physical(kind: str, x, quad_points: int = 8193) -> np.ndarray:
     kernel = np.exp(2j * np.pi * np.outer(x, omega))
     vals = np.trapezoid(kernel * spec, omega, axis=-1)
     return vals
-
-
-def meyer_profiles(omega):
-    """Father and mother frequency profiles sampled on a common grid."""
-    return meyer_father_hat(omega), meyer_mother_hat(omega)
 
 
 def wavelet_indices(dim: int, j_max: int):

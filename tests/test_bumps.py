@@ -53,8 +53,6 @@ def test_invalid_specs_rejected():
         BumpSpec(radius=0.0)
     with pytest.raises(ValueError):
         BumpSpec(radius=0.1, plateau=0.1)
-    with pytest.raises(ValueError):
-        BumpSpec(radius=0.1, normalization="bogus")
 
 
 def test_profile_even():

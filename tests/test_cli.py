@@ -6,8 +6,11 @@ import os
 import numpy as np
 import pytest
 
+import bimult.cli
+from bimult.bilinear import SymbolGrid, apply_bilinear, operator_ratio
 from bimult.cli import read_symbol, run, write_symbol
-from bimult.grid import FrequencyBox, SpectralVector, spectral_to_json
+from bimult.experiments import config_hash
+from bimult.grid import FrequencyBox, SpectralVector, l1_norm, spectral_from_json, spectral_to_json
 from bimult.rowcol import CoeffMatrix
 
 
@@ -133,11 +136,79 @@ def test_unknown_subcommand_is_error():
 
 
 def test_write_symbol_refuses_overwrite(tmp_path):
-    from bimult.bilinear import SymbolGrid
-
     m = SymbolGrid(2, 1, np.ones((3, 3)), 0.5)
     path = str(tmp_path / "s.bin")
     write_symbol(path, m, {})
     with pytest.raises(FileExistsError):
         write_symbol(path, m, {})
     write_symbol(path, m, {}, force=True)
+
+
+def test_write_symbol_refusal_leaves_no_half_pair(tmp_path):
+    # only the sidecar exists: the refusal must come before the .bin is written
+    m = SymbolGrid(2, 1, np.ones((3, 3)), 0.5)
+    path = str(tmp_path / "s.bin")
+    open(path + ".json", "w").write("{}\n")
+    with pytest.raises(FileExistsError, match="refusing to overwrite"):
+        write_symbol(path, m, {})
+    assert not os.path.exists(path)
+    assert open(path + ".json").read() == "{}\n"
+
+
+def test_experiment_refuses_before_running(tmp_path, monkeypatch):
+    target = tmp_path / f"counting-{config_hash({'M': [2, 3]})}-1.jsonl"
+    target.write_text("kept\n")
+    calls = []
+    real = bimult.cli.run_experiment
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bimult.cli, "run_experiment", recording)
+    rc = run(["experiment", "counting", "--M", "2,3", "--seed", "1", "--out", str(tmp_path)])
+    assert rc == 1
+    assert calls == []
+    assert target.read_text() == "kept\n"
+
+
+def _apply_inputs(tmp_path, f_vals):
+    sym = str(tmp_path / "sym.bin")
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(CoeffMatrix({(0, 0): 1.0, (1, -1): 0.5 - 0.25j}).to_json())
+    assert run(["gen-symbol", "--kind", "lattice", "--coeffs", str(coeffs),
+                "--resolution", "10", "--seed", "3", "--out", sym]) == 0
+    box = FrequencyBox(1, 12, 2, 10.0)
+    rng = np.random.default_rng(5)
+    g = SpectralVector(box, rng.standard_normal(25) + 1j * rng.standard_normal(25))
+    f = SpectralVector(box, f_vals(rng, 25))
+    paths = []
+    for name, vec in (("f", f), ("g", g)):
+        paths.append(str(tmp_path / f"{name}.json"))
+        open(paths[-1], "w").write(spectral_to_json(vec))
+    return sym, paths
+
+
+def test_apply_payload_matches_library_exactly(tmp_path):
+    sym, (fpath, gpath) = _apply_inputs(
+        tmp_path, lambda rng, n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    )
+    out = str(tmp_path / "apply.json")
+    assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath, "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    m = read_symbol(sym)
+    f = spectral_from_json(open(fpath).read())
+    g = spectral_from_json(open(gpath).read())
+    assert payload["operatorRatio"] == operator_ratio(m, f, g)
+    assert payload["l1Norm"] == l1_norm(apply_bilinear(m, f, g))
+
+
+def test_apply_zero_norm_input_is_one_line_error(tmp_path, capsys):
+    sym, (fpath, gpath) = _apply_inputs(tmp_path, lambda rng, n: np.zeros(n, dtype=complex))
+    out = str(tmp_path / "apply.json")
+    rc = run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath, "--out", out])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not os.path.exists(out)

@@ -103,7 +103,8 @@ def test_make_shell_sequence_octic_unbounded():
 def test_make_shell_sequence_constant_mu():
     # mu = 9: exactly 9 cells at value ~1, the rest 0
     seq = make_shell_sequence(lambda lam: 9.0, 5)
-    vals = [abs(seq.value(k, l)) for k in range(-5, 6) for l in range(-5, 6)]
+    # coeff_matrix stores the nonzero cells of the box; the others are 0
+    vals = [abs(v) for v in seq.coeff_matrix().entries.values()]
     big = [v for v in vals if v > 0.99]
     assert len(big) == 9
     assert sum(1 for v in vals if v > 1e-9) == 9
