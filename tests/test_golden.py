@@ -23,8 +23,13 @@ GOLDEN = {
     ),
     "boundedness-lattice.jsonl": ("boundedness", {"f_mode": "lattice", "trials": 4}),
     "boundedness-besov.jsonl": ("boundedness", {"f_mode": "besov", "trials": 4}),
+    "boundedness-fourier_compact.jsonl": (
+        "boundedness",
+        {"f_mode": "fourier_compact", "trials": 4},
+    ),
     "counting.jsonl": ("counting", {"M": [2, 3, 32]}),
     "levelset.jsonl": ("levelset", {"mode": "desk", "N": [2], "resolution": 10}),
+    "levelset-paper.jsonl": ("levelset", {"mode": "paper", "N": [2, 4]}),  # bench, acceptance
 }
 
 
