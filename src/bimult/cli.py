@@ -106,9 +106,7 @@ def _cmd_gen_symbol(args) -> int:
             master_seed=seed,
             resolution=args.resolution,
         )
-        I = acfg.interval(args.K)
-        center = (I.start + I.stop - 1) // 2
-        m = block_A_symbol(acfg, args.K, acfg.block_seed(args.K), center=center)
+        m = block_A_symbol(acfg, args.K, acfg.block_seed(args.K), center=acfg.center(args.K))
         cfg = {
             "kind": "block-A",
             "K": args.K,
@@ -151,6 +149,8 @@ def _cmd_decompose(args) -> int:
 
 
 def _cmd_apply(args) -> int:
+    if args.out:
+        _guard_overwrite(args.out, args.force)
     m = read_symbol(args.symbol)
     with open(args.f) as fh:
         f = spectral_from_json(fh.read())
@@ -160,7 +160,6 @@ def _cmd_apply(args) -> int:
     l1 = l1_norm(apply_bilinear(m, f, g))
     ratio = l1 / norms  # operator_ratio(m, f, g), without evaluating the operator twice
     if args.out:
-        _guard_overwrite(args.out, args.force)
         payload = {"toolVersion": __version__, "l1Norm": l1, "operatorRatio": ratio}
         with open(args.out, "w") as fh:
             json.dump(payload, fh, sort_keys=True, indent=2)

@@ -304,8 +304,7 @@ def growth_experiment_A(
     """
     rows = []
     for K in range(1, len(cfg.block_b) + 1):
-        I = cfg.interval(K)
-        center = (I.start + I.stop - 1) // 2
+        center = cfg.center(K)
         f = test_function_A(K, cfg, center=center)
         m_plus = _block_A(cfg, K, None, center)
         ratios = _sign_pool_ratios(cfg, K, m_plus, f, center, seeds_per_block, threads)
@@ -415,6 +414,7 @@ def run_growth_B(config: dict, master_seed: int, threads: int = 1) -> Experiment
 
 _CORPUS_PSI = BumpSpec(radius=0.1, plateau=0.05)
 _CORPUS_PHI = BumpSpec(radius=0.2, plateau=0.1)
+_CORPUS_INPUT_RADIUS = 16  # input lattice radius, capped at the symbol's
 
 
 def _random_inputs(box: FrequencyBox, rng: np.random.Generator) -> SpectralVector:
@@ -490,7 +490,6 @@ def boundedness_corpus(
     master_seed: int,
     lattice_radius: int = 4,
     resolution: int = 10,
-    input_radius: int = 16,
     threads: int = 1,
 ) -> dict:
     """Max normalized operator ratio over seeded symbols and stress inputs.
@@ -504,11 +503,9 @@ def boundedness_corpus(
     def one_trial(t: int) -> dict:
         rng = substream(master_seed, t)
         m, norm = _corpus_symbol(f_mode, rng, lattice_radius, resolution)
-        box = FrequencyBox(1, min(input_radius, m.radius), 2, 1.0 / m.spacing)
-        candidates = [
-            (_random_inputs(box, rng), _random_inputs(box, rng)),
-            (_aligned_inputs(box, resolution), _aligned_inputs(box, resolution)),
-        ]
+        box = FrequencyBox(1, min(_CORPUS_INPUT_RADIUS, m.radius), 2, 1.0 / m.spacing)
+        aligned = _aligned_inputs(box, resolution)
+        candidates = [(_random_inputs(box, rng), _random_inputs(box, rng)), (aligned, aligned)]
         best = max(operator_ratio(m, f, g) / norm for f, g in candidates)
         return {"trial": t, "normalizedRatio": best}
 
@@ -551,14 +548,12 @@ def run_boundedness(config: dict, master_seed: int, threads: int = 1) -> Experim
 # counting and level sets
 
 
-def counting_table(m_list, n: int = 1, brute_limit: int = 256) -> list[dict]:
-    """Sum of squared anti-diagonal counts vs the closed form M(2M^2+1)/3.
+def counting_table(m_list, brute_limit: int = 256) -> list[dict]:
+    """Sum of squared anti-diagonal counts (n = 1) vs the closed form M(2M^2+1)/3.
 
     For M <= brute_limit the counts are recomputed by the O(M^2) double loop
     as an independent path.
     """
-    if n != 1:
-        raise ValueError("closed form implemented for n = 1")
     rows = []
     for M in m_list:
         table = count_representations(range(M))
@@ -581,52 +576,48 @@ def run_counting(config: dict, master_seed: int, threads: int = 1) -> Experiment
     t0 = time.perf_counter()
     m_list = [int(M) for M in config.get("M", (2, 3, 32, 256, 1024, 4096))]
     rows = counting_table(m_list, brute_limit=int(config.get("brute_limit", 256)))
-    summary = {
-        "allMatch": all(row["match"] for row in rows),
-        "allBruteMatch": all(row.get("bruteMatch", True) for row in rows),
-        "passed": all(
-            row["match"] and row.get("bruteMatch", True) for row in rows
-        ),
-    }
+    all_match = all(row["match"] for row in rows)
+    all_brute = all(row.get("bruteMatch", True) for row in rows)
+    summary = {"allMatch": all_match, "allBruteMatch": all_brute, "passed": all_match and all_brute}
     return ExperimentRecord(
         "counting", config, master_seed, rows, summary, time.perf_counter() - t0
     )
+
+
+_LEVELSET_GRID_BLOCKS = (2,)  # blocks whose coefficient count is checked on a grid
 
 
 def levelset_profile(
     cfg: CounterexampleBConfig,
     alphas=(1.0, 2.0),
     lambda_fractions=(0.9, 0.5, 0.1),
-    grid_blocks=(2,),
 ) -> list[dict]:
     """Level-set measures of the multi-block symbol vs lambda^-4 log^-alpha(e/lambda).
 
     Measures are additive over the disjoint blocks; the coefficient path sums
-    the per-block counts, and for the blocks in grid_blocks a direct grid
-    count cross-checks it.  Implied constants measure * lambda^4 log^alpha
-    are reported per lambda and alpha.
+    the per-block counts, and for the blocks in _LEVELSET_GRID_BLOCKS a count
+    on the block's centered grid (same disjoint bumps) cross-checks it.
+    Implied constants measure * lambda^4 log^alpha are reported per lambda and alpha.
     """
     amps = {N: cfg.amplitude(N) for N in cfg.Ns}
     lambdas = sorted(
         {frac * amp for amp in amps.values() for frac in lambda_fractions},
         reverse=True,
     )
-    grids = {
-        N: counterexample_B_block(cfg, N, seed=cfg.block_seed(N), center=0)
-        for N in grid_blocks
-        if N in cfg.Ns
-    }
+    grids = {}
+    for N in _LEVELSET_GRID_BLOCKS:
+        if N in cfg.Ns:
+            m = counterexample_B_block(cfg, N)
+            grids[N] = (np.abs(m.values), m.cell_measure)
     rows = []
     for lam in lambdas:
-        coeff = sum(block_B_level_measure_coeff(cfg, N, lam) for N in cfg.Ns)
+        per_block = {N: block_B_level_measure_coeff(cfg, N, lam) for N in cfg.Ns}
+        coeff = sum(per_block.values())
         row = {"lambda": lam, "coeffMeasure": coeff}
         grid_part = sum(
-            float(np.count_nonzero(np.abs(m.values) > lam) * m.cell_measure)
-            for m in grids.values()
+            float(np.count_nonzero(mag > lam) * h) for mag, h in grids.values()
         )
-        coeff_part = sum(
-            block_B_level_measure_coeff(cfg, N, lam) for N in grids
-        )
+        coeff_part = sum(per_block[N] for N in grids)
         if coeff_part > 0:
             row["gridMeasure"] = grid_part
             row["dualPathRelErr"] = abs(grid_part - coeff_part) / coeff_part
@@ -651,13 +642,12 @@ def run_levelset(config: dict, master_seed: int, threads: int = 1) -> Experiment
     consts = [
         row[f"impliedConstAlpha{a:g}"] for row in rows for a in alphas
     ]
+    finite = bool(np.all(np.isfinite(consts)))
     summary = {
         "maxDualPathRelErr": max(dual_errs) if dual_errs else None,
         "maxImpliedConst": max(consts),
-        "allFinite": bool(np.all(np.isfinite(consts))),
-        "passed": bool(
-            (not dual_errs or max(dual_errs) <= 0.02) and np.all(np.isfinite(consts))
-        ),
+        "allFinite": finite,
+        "passed": (not dual_errs or max(dual_errs) <= 0.02) and finite,
     }
     return ExperimentRecord(
         "levelset", config, master_seed, rows, summary, time.perf_counter() - t0

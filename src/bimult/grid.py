@@ -26,6 +26,8 @@ __all__ = [
     "l2_norm",
     "l1_norm",
     "apply_linear_multiplier",
+    "spectral_to_json",
+    "spectral_from_json",
 ]
 
 
@@ -88,6 +90,8 @@ class SpectralVector:
             raise ValueError(
                 f"values shape {v.shape} does not match lattice {self.box.lattice_shape}"
             )
+        if not np.all(np.isfinite(v)):
+            raise ValueError("spectral values must be finite")
         object.__setattr__(self, "values", v)
 
 

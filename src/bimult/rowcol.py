@@ -60,7 +60,10 @@ class CoeffMatrix:
     @classmethod
     def from_json(cls, text: str) -> "CoeffMatrix":
         rows = json.loads(text)
-        return cls({(k, l): complex(re, im) for k, l, re, im in rows})
+        entries = {(k, l): complex(re, im) for k, l, re, im in rows}
+        if len(entries) != len(rows):
+            raise ValueError("coefficient JSON repeats a (k, l) key")
+        return cls(entries)
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ __all__ = [
     "CounterexampleBConfig",
     "counterexample_B_block",
     "test_function_B",
-    "LPFamily",
     "littlewood_paley_piece",
     "besov_norm",
     "sobolev_weak_norm",
@@ -267,6 +266,11 @@ class CounterexampleAConfig(_BlockSeeds):
         b = self.block_b[K - 1]
         return range(b, 2 * b)
 
+    def center(self, K: int) -> int:
+        """Block center: the growth grids are built in coordinates centered here."""
+        I = self.interval(K)
+        return (I.start + I.stop - 1) // 2
+
     def rho(self, K: int) -> int:
         return (4 * self.block_b[K - 1]) ** 2
 
@@ -457,21 +461,6 @@ def test_function_B(
 # dyadic frequency decomposition and norm estimators
 
 
-@dataclass(frozen=True)
-class LPFamily:
-    """Dyadic cutoffs: phi_0 = 1 on |x| <= 1, 0 on |x| >= 3/2, smooth between."""
-
-    def phi0(self, rho) -> np.ndarray:
-        rho = np.asarray(rho, dtype=float)
-        return smooth_step((1.5 - rho) / 0.5)
-
-    def phi(self, k: int, rho) -> np.ndarray:
-        if k == 0:
-            return self.phi0(rho)
-        rho = np.asarray(rho, dtype=float)
-        return self.phi0(rho / 2.0**k) - self.phi0(rho / 2.0 ** (k - 1))
-
-
 def _symbol_freq_radii(m: SymbolGrid) -> np.ndarray:
     P = 2 * m.radius + 1
     freqs = np.fft.fftfreq(P, d=m.spacing)
@@ -479,30 +468,32 @@ def _symbol_freq_radii(m: SymbolGrid) -> np.ndarray:
     return np.sqrt(sum(g**2 for g in grids))
 
 
+def _lp_cutoffs(m: SymbolGrid, k_max: int | None = None) -> list[np.ndarray]:
+    """Dyadic cutoffs phi_0 = c_0, phi_k = c_k - c_{k-1} (k <= k_max) on m's DFT radius
+    grid, c_k = smooth_step((1.5 - rho / 2^k) / 0.5): 1 on rho <= 2^k, 0 on rho >= 1.5 2^k."""
+    if k_max is None:
+        band = 0.5 / m.spacing * np.sqrt(m.dim)
+        k_max = int(np.ceil(np.log2(max(band, 2.0)))) + 2
+    rho = _symbol_freq_radii(m)
+    c = [smooth_step((1.5 - rho / 2.0**k) / 0.5) for k in range(k_max + 1)]
+    return c[:1] + [c[k] - c[k - 1] for k in range(1, k_max + 1)]
+
+
 def littlewood_paley_piece(m: SymbolGrid, k: int) -> SymbolGrid:
     """Dyadic piece of the symbol via periodized DFT filtering."""
     if k < 0:
         raise ValueError("k must be >= 0")
-    rho = _symbol_freq_radii(m)
-    filt = LPFamily().phi(k, rho)
-    filtered = np.fft.ifftn(np.fft.fftn(m.values) * filt)
+    filtered = np.fft.ifftn(np.fft.fftn(m.values) * _lp_cutoffs(m, k)[k])
     return SymbolGrid(m.dim, m.radius, filtered, m.spacing, m.provenance)
-
-
-def default_k_max(m: SymbolGrid) -> int:
-    band = 0.5 / m.spacing * np.sqrt(m.dim)
-    return int(np.ceil(np.log2(max(band, 2.0)))) + 2
 
 
 def besov_norm(m: SymbolGrid, k_max: int | None = None) -> float:
     """Truncated sum over k of 2^(nk/2) * weak-l4 norm of the k-th dyadic piece."""
-    if k_max is None:
-        k_max = default_k_max(m)
-    n = m.n
+    mhat = np.fft.fftn(m.values)
     total = 0.0
-    for k in range(k_max + 1):
-        piece = littlewood_paley_piece(m, k)
-        total += 2.0 ** (n * k / 2.0) * weak_quasinorm(piece.measured(), 4.0)
+    for k, phi in enumerate(_lp_cutoffs(m, k_max)):
+        piece = MeasuredValues.of(np.fft.ifftn(mhat * phi), m.cell_measure)
+        total += 2.0 ** (m.n * k / 2.0) * weak_quasinorm(piece, 4.0)
     return total
 
 

@@ -43,6 +43,7 @@ def test_package_exports_resolve():
         mod = importlib.import_module(f"bimult.{node.module}")
         for alias in node.names:
             assert getattr(bimult, alias.name) is getattr(mod, alias.name)
+            assert alias.name in mod.__all__, (node.module, alias.name)
 
 
 def test_traced_targets_exist(monkeypatch):

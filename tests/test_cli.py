@@ -212,3 +212,48 @@ def test_apply_zero_norm_input_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+def test_apply_refuses_before_computing(tmp_path, monkeypatch):
+    sym, (fpath, gpath) = _apply_inputs(
+        tmp_path, lambda rng, n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    )
+    out = tmp_path / "apply.json"
+    out.write_text("kept\n")
+    calls = []
+    real = bimult.cli.apply_bilinear
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(bimult.cli, "apply_bilinear", recording)
+    rc = run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath, "--out", str(out)])
+    assert rc == 1
+    assert calls == []
+    assert out.read_text() == "kept\n"
+
+
+def _one_line_error(capsys) -> bool:
+    err = capsys.readouterr().err
+    return err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_apply_nan_input_is_one_line_error(tmp_path, capsys):
+    sym, (fpath, gpath) = _apply_inputs(
+        tmp_path, lambda rng, n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    )
+    payload = json.loads(open(fpath).read())
+    payload["values"][3][0] = float("nan")
+    open(fpath, "w").write(json.dumps(payload))
+    assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath]) == 1
+    assert _one_line_error(capsys)
+
+
+def test_decompose_repeated_key_is_one_line_error(tmp_path, capsys):
+    infile = tmp_path / "matrix.json"
+    infile.write_text("[[0, 1, 1.0, 0.0], [2, 2, 0.5, 0.0], [0, 1, 0.25, 0.0]]")
+    out = tmp_path / "part.json"
+    assert run(["decompose", "--in", str(infile), "--out", str(out)]) == 1
+    assert _one_line_error(capsys)
+    assert not out.exists()

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+import bimult.experiments
 from bimult.experiments import (
     ExperimentRecord,
     boundedness_corpus,
@@ -96,8 +97,7 @@ def test_growth_B_prediction_band_small():
 def test_growth_A_sign_pool_equals_symbol_rebuild(K, centered):
     # oracle: the per-draw symbol rebuild the sign pool replaces, bit for bit
     cfg = CounterexampleAConfig(block_b=(4, 16), dstar_exponent=0.125, master_seed=MASTER_SEED)
-    I = cfg.interval(K)
-    center = (I.start + I.stop - 1) // 2 if centered else 0
+    center = cfg.center(K) if centered else 0
     f = make_f_A(K, cfg, center=center)
     ratios = _sign_pool_ratios(cfg, K, _block_A(cfg, K, None, center), f, center, 4)
     assert len(ratios) == 4 and len(set(ratios)) > 1
@@ -115,6 +115,23 @@ def test_growth_B_sign_pool_equals_symbol_rebuild(N):
     for d, ratio in enumerate(ratios):
         m = counterexample_B_block(cfg, N, seed=cfg.block_seed(N, d))
         assert ratio == operator_ratio(m, f, f)
+
+
+def test_levelset_grid_is_block_centered(monkeypatch):
+    # the cross-check grid of paper N=2 sits in the block's own coordinates:
+    # radius 20 * (16 + 1), not the 20 * (159 + 1) a grid at the origin needs
+    built = []
+    real = bimult.experiments.counterexample_B_block
+
+    def recording(*args, **kwargs):
+        built.append(real(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr(bimult.experiments, "counterexample_B_block", recording)
+    cfg = CounterexampleBConfig(mode="paper", Ns=(2,), master_seed=MASTER_SEED)
+    rows = levelset_profile(cfg)
+    assert [m.radius for m in built] == [340]
+    assert max(row["dualPathRelErr"] for row in rows if "dualPathRelErr" in row) < 1e-12
 
 
 def test_levelset_zero_above_sup():

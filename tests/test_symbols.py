@@ -331,6 +331,20 @@ def test_besov_norm_band_limited_equals_weak():
     assert besov_norm(m) == pytest.approx(weak_quasinorm(m.measured(), 4.0), rel=1e-6)
 
 
+def test_besov_norm_makes_one_forward_fft(monkeypatch):
+    m = band_limited_symbol(2.0, 5)
+    calls = []
+    real = np.fft.fftn
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "fftn", counting)
+    besov_norm(m)
+    assert len(calls) == 1
+
+
 def test_besov_norm_zero_and_homogeneous():
     m = band_limited_symbol(2.0, 4)
     z = m.scaled(0.0)
