@@ -1,5 +1,6 @@
 """Command-line interface: artifacts, exit codes, byte-level determinism."""
 
+import hashlib
 import json
 import os
 
@@ -153,6 +154,18 @@ def test_write_symbol_refusal_leaves_no_half_pair(tmp_path):
         write_symbol(path, m, {})
     assert not os.path.exists(path)
     assert open(path + ".json").read() == "{}\n"
+
+
+def test_symbol_file_bytes_are_pinned(tmp_path):
+    # format v1: b"BMLT", <IIId (version, dim, radius, spacing), <c8 row-major
+    m = SymbolGrid(2, 3, np.arange(49).reshape(7, 7) * (0.5 - 0.25j) + 1j / 3, 0.125)
+    path = tmp_path / "s.bin"
+    write_symbol(str(path), m, {})
+    data = path.read_bytes()
+    assert len(data) == 24 + 8 * 49
+    assert hashlib.sha256(data).hexdigest() == (
+        "0894e45c2be22357a2d8a0a4a37344911bb6c7eed6154666fb7b7c49695faddf"
+    )
 
 
 def test_experiment_refuses_before_running(tmp_path, monkeypatch):
