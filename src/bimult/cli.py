@@ -24,6 +24,7 @@ from .bumps import BumpSpec
 from .experiments import (
     EXPERIMENTS,
     ExperimentRecord,
+    _INT64,
     _guard_overwrite,
     config_hash,
     run_experiment,
@@ -41,6 +42,16 @@ from .symbols import (
 
 _MAGIC = b"BMLT"
 _FMT_VERSION = 1
+_HEADER = struct.Struct("<IIId")  # version, dim, radius, spacing
+_HEADER_BYTES = len(_MAGIC) + _HEADER.size
+_VALUE_TYPE = np.dtype("<c8")
+_CHUNK = 1 << 18  # samples streamed at a time: 2 MiB of complex64
+
+
+def _chunks(count: int):
+    """Consecutive slices of at most _CHUNK samples covering range(count)."""
+    for start in range(0, count, _CHUNK):
+        yield slice(start, min(start + _CHUNK, count))
 
 
 def write_symbol(path: str, m: SymbolGrid, meta: dict, force: bool = False) -> None:
@@ -48,10 +59,15 @@ def write_symbol(path: str, m: SymbolGrid, meta: dict, force: bool = False) -> N
     side_path = path + ".json"
     for p in (path, side_path):  # both checked before either is opened: no half pair
         _guard_overwrite(p, force)
+    flat = m.values.reshape(-1)
+    buf = np.empty(min(flat.size, _CHUNK), dtype=_VALUE_TYPE)
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
-        fh.write(struct.pack("<IIId", _FMT_VERSION, m.dim, m.radius, m.spacing))
-        fh.write(m.values.astype("<c8").tobytes(order="C"))
+        fh.write(_HEADER.pack(_FMT_VERSION, m.dim, m.radius, m.spacing))
+        for part in _chunks(flat.size):
+            chunk = buf[: part.stop - part.start]
+            chunk[...] = flat[part]
+            fh.write(chunk)
     sidecar = dict(meta)
     sidecar.update(
         {
@@ -59,6 +75,7 @@ def write_symbol(path: str, m: SymbolGrid, meta: dict, force: bool = False) -> N
             "dim": m.dim,
             "radius": m.radius,
             "spacing": m.spacing,
+            "valueType": "complex64",
             "provenance": m.provenance,
         }
     )
@@ -68,26 +85,48 @@ def write_symbol(path: str, m: SymbolGrid, meta: dict, force: bool = False) -> N
 
 
 def read_symbol(path: str) -> SymbolGrid:
+    """Read a symbol file; the complex64 samples are widened to complex128."""
     with open(path, "rb") as fh:
-        if fh.read(4) != _MAGIC:
+        head = fh.read(_HEADER_BYTES)
+        if head[: len(_MAGIC)] != _MAGIC:
             raise ValueError(f"{path}: not a symbol file")
-        version, dim, radius, spacing = struct.unpack("<IIId", fh.read(20))
+        if len(head) < _HEADER_BYTES:
+            raise ValueError(f"{path}: truncated header ({len(head)} of {_HEADER_BYTES} bytes)")
+        version, dim, radius, spacing = _HEADER.unpack_from(head, len(_MAGIC))
         if version != _FMT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
-        count = (2 * radius + 1) ** dim
-        vals = np.frombuffer(fh.read(), dtype="<c8", count=count)
-    return SymbolGrid(
-        dim, radius, vals.astype(complex).reshape((2 * radius + 1,) * dim), spacing
-    )
+        side = 2 * radius + 1
+        size = os.fstat(fh.fileno()).st_size
+        # side**dim >= 2**(dim * (bits - 1)): a header no file could hold is
+        # refused before the power is taken, and no array is allocated for it
+        fits = dim * (side.bit_length() - 1) < size.bit_length()
+        count = side**dim if fits else None
+        if count is None or _HEADER_BYTES + _VALUE_TYPE.itemsize * count > size:
+            raise ValueError(
+                f"{path}: header promises {side}^{dim} complex64 samples,"
+                f" more than the file's {size} bytes hold"
+            )
+        flat = np.empty(count, dtype=complex)
+        buf = np.empty(min(count, _CHUNK), dtype=_VALUE_TYPE)
+        for part in _chunks(count):
+            chunk = buf[: part.stop - part.start]
+            if fh.readinto(chunk) != chunk.nbytes:
+                raise ValueError(f"{path}: data block ends early")
+            flat[part] = chunk
+    return SymbolGrid(dim, radius, flat.reshape((side,) * dim), spacing)
 
 
 def _require_seed(args) -> int:
     if args.seed is not None:
-        return args.seed
-    env = os.environ.get("BIMULT_SEED")
-    if env is not None:
-        return int(env)
-    raise ValueError("a master seed is required (--seed or BIMULT_SEED)")
+        seed, source = args.seed, "--seed"
+    else:
+        env = os.environ.get("BIMULT_SEED")
+        if env is None:
+            raise ValueError("a master seed is required (--seed or BIMULT_SEED)")
+        seed, source = int(env), "BIMULT_SEED"
+    if seed not in _INT64:
+        raise ValueError(f"{source} {seed} is outside signed 64-bit")
+    return seed
 
 
 def _cmd_gen_symbol(args) -> int:

@@ -73,12 +73,18 @@ def canonical_json(obj) -> str:
     return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_coerce_scalar)
 
 
+_INT64 = range(-(2**63), 2**63)  # the seeds and substream keys hashing accepts
+
+
 def config_hash(config: dict) -> str:
     return hashlib.sha256(canonical_json(config).encode()).hexdigest()[:16]
 
 
 def substream(master_seed: int, index: int) -> np.random.Generator:
     """Independent generator for one trial, stable across worker counts."""
+    for key in (master_seed, index):
+        if key not in _INT64:
+            raise ValueError(f"substream key {key} is outside signed 64-bit")
     raw = struct.pack("<qq", master_seed, index)
     digest = hashlib.blake2b(raw, digest_size=8).digest()
     return np.random.default_rng(int.from_bytes(digest, "little"))

@@ -29,6 +29,16 @@ S1 = "S1"
 S2 = "S2"
 
 
+def _is_coeff_row(row) -> bool:
+    """[k, l, re, im]: integer k, l and numeric re, im (a JSON true or false is neither)."""
+    return (
+        isinstance(row, list)
+        and len(row) == 4
+        and all(type(x) is int for x in row[:2])
+        and all(type(x) in (int, float) for x in row[2:])
+    )
+
+
 @dataclass(frozen=True)
 class CoeffMatrix:
     """Finitely supported map (k, l) -> complex; unstored entries are zero."""
@@ -60,6 +70,8 @@ class CoeffMatrix:
     @classmethod
     def from_json(cls, text: str) -> "CoeffMatrix":
         rows = json.loads(text)
+        if not isinstance(rows, list) or not all(map(_is_coeff_row, rows)):
+            raise ValueError("coefficient JSON must be a list of [int, int, number, number] rows")
         entries = {(k, l): complex(re, im) for k, l, re, im in rows}
         if len(entries) != len(rows):
             raise ValueError("coefficient JSON repeats a (k, l) key")

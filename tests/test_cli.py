@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -60,6 +61,7 @@ def test_symbol_binary_round_trip(tmp_path, matrix_file):
     m = read_symbol(out)
     assert m.dim == 2 and m.spacing == pytest.approx(0.1)
     assert np.max(np.abs(m.values)) == pytest.approx(1.0, rel=1e-6)
+    assert json.loads(open(out + ".json").read())["valueType"] == "complex64"
 
 
 def test_apply_identity_bump(tmp_path, matrix_file, capsys):
@@ -168,6 +170,23 @@ def test_symbol_file_bytes_are_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize("radius", [400, 3])
+def test_symbol_file_round_trip_across_chunks(tmp_path, radius):
+    side = 2 * radius + 1
+    chunk = bimult.cli._CHUNK
+    # radius 400: more than two chunks, the last one partial; radius 3: under one
+    assert side**2 < chunk or (side**2 > 2 * chunk and side**2 % chunk != 0)
+    rng = np.random.default_rng(radius)
+    values = rng.standard_normal((side, side)) + 1j * rng.standard_normal((side, side))
+    m = SymbolGrid(2, radius, values, 0.5)
+    path = str(tmp_path / "s.bin")
+    write_symbol(path, m, {})
+    back = read_symbol(path)
+    assert back.values.dtype == complex
+    assert np.array_equal(back.values, m.values.astype(np.complex64).astype(complex))
+    assert (back.dim, back.radius, back.spacing) == (m.dim, m.radius, m.spacing)
+
+
 def test_experiment_refuses_before_running(tmp_path, monkeypatch):
     target = tmp_path / f"counting-{config_hash({'M': [2, 3]})}-1.jsonl"
     target.write_text("kept\n")
@@ -247,9 +266,12 @@ def test_apply_refuses_before_computing(tmp_path, monkeypatch):
     assert out.read_text() == "kept\n"
 
 
-def _one_line_error(capsys) -> bool:
+def _one_line_error(capsys, naming: str = "") -> bool:
     err = capsys.readouterr().err
-    return err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    return (
+        err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+        and naming in err
+    )
 
 
 def test_apply_nan_input_is_one_line_error(tmp_path, capsys):
@@ -270,3 +292,64 @@ def test_decompose_repeated_key_is_one_line_error(tmp_path, capsys):
     assert run(["decompose", "--in", str(infile), "--out", str(out)]) == 1
     assert _one_line_error(capsys)
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [
+        lambda data: data[:14],  # shorter than the 24-byte header
+        lambda data: data[:-8],  # the data block lacks its last sample
+        lambda data: data[:4] + struct.pack("<IIId", 1, 2, 2**31, 0.1) + data[24:],  # radius
+        lambda data: data[:4] + struct.pack("<IIId", 1, 2**20, 1, 0.1) + data[24:],  # dim
+    ],
+    ids=["short-header", "short-data", "huge-radius", "huge-dim"],
+)
+def test_apply_bad_symbol_file_is_one_line_error(tmp_path, capsys, corrupt):
+    sym, (fpath, gpath) = _apply_inputs(
+        tmp_path, lambda rng, n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    )
+    with open(sym, "rb") as fh:
+        data = fh.read()
+    with open(sym, "wb") as fh:
+        fh.write(corrupt(data))
+    capsys.readouterr()
+    assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath]) == 1
+    assert _one_line_error(capsys, naming=sym)
+
+
+@pytest.mark.parametrize("rows", ["[1, 2]", '[[0, 0, "x", 0]]', "[[0, 0, true, 0]]", "{}"])
+@pytest.mark.parametrize("command", ["decompose", "gen-symbol"])
+def test_malformed_coeff_rows_are_one_line_errors(tmp_path, capsys, command, rows):
+    infile = tmp_path / "matrix.json"
+    infile.write_text(rows)
+    out = tmp_path / "out"
+    argv = {
+        "decompose": ["decompose", "--in", str(infile), "--out", str(out)],
+        "gen-symbol": ["gen-symbol", "--kind", "lattice", "--coeffs", str(infile),
+                       "--seed", "1", "--out", str(out)],
+    }[command]
+    assert run(argv) == 1
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_khintchine_seed_overflow_is_one_line_error(tmp_path, capsys):
+    # in range itself, but the per-size Monte Carlo seed master_seed * 1000 + t is not
+    rc = run(["experiment", "khintchine", "--seed", "9300000000000000", "--out", str(tmp_path)])
+    assert rc == 1
+    assert _one_line_error(capsys)
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.parametrize("seed", [str(2**63), str(-(2**63) - 1)])
+def test_seed_outside_int64_is_rejected(tmp_path, capsys, monkeypatch, matrix_file, seed):
+    out = str(tmp_path / "sym.bin")
+    argv = ["gen-symbol", "--kind", "lattice", "--coeffs", matrix_file, "--out", out]
+    assert run(argv + ["--seed", seed]) == 1
+    assert _one_line_error(capsys)
+    monkeypatch.setenv("BIMULT_SEED", seed)
+    assert run(argv) == 1
+    assert _one_line_error(capsys)
+    assert not os.path.exists(out)
+    monkeypatch.setenv("BIMULT_SEED", str(2**63 - 1))
+    assert run(argv) == 0

@@ -77,6 +77,13 @@ def test_substream_independence():
     assert not np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("key", [(2**63, 0), (-(2**63) - 1, 0), (5, 2**63)])
+def test_substream_rejects_keys_outside_int64(key):
+    with pytest.raises(ValueError, match="outside signed 64-bit"):
+        substream(*key)
+    substream(2**63 - 1, -(2**63))  # the ends of the range are accepted
+
+
 def test_counting_table_brute_force_agrees():
     rows = counting_table([2, 3, 17, 64])
     for row in rows:
