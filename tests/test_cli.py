@@ -170,6 +170,26 @@ def test_symbol_file_bytes_are_pinned(tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "kind, index, bin_sha, json_sha",
+    [
+        ("block-A", ["--K", "1"],
+         "7c78e5e258fcddf7d5d4dffbf98c1eb8da69c36d46bee7fbd599775add87d2ff",
+         "0851ac52d9414d09ad58fbd8732998052096dbcfc61efb4492053afc15ae22da"),
+        ("block-B", ["--N", "1"],
+         "24966e0b6954c1bb179804f9ca4becc1205b3d2a416a47201ee88658d4d20555",
+         "aae65298b84748f3e630bbf19981e84156cd0bf2d9c8101d2d790f3aa2998bc0"),
+    ],
+    ids=["block-A", "block-B"],
+)
+def test_block_symbol_files_are_pinned(tmp_path, kind, index, bin_sha, json_sha):
+    # the counterexample block builders, byte for byte: samples, spacing and sidecar
+    out = tmp_path / "sym.bin"
+    assert run(["gen-symbol", "--kind", kind, *index, "--seed", "7", "--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == bin_sha
+    assert hashlib.sha256((tmp_path / "sym.bin.json").read_bytes()).hexdigest() == json_sha
+
+
 @pytest.mark.parametrize("radius", [400, 3])
 def test_symbol_file_round_trip_across_chunks(tmp_path, radius):
     side = 2 * radius + 1
