@@ -132,6 +132,8 @@ def _require_seed(args) -> int:
 def _cmd_gen_symbol(args) -> int:
     seed = _require_seed(args)
     if args.kind == "lattice":
+        if args.coeffs is None:
+            raise ValueError("--kind lattice requires --coeffs")
         with open(args.coeffs) as fh:
             c = CoeffMatrix.from_json(fh.read())
         m = lattice_symbol(
@@ -211,7 +213,10 @@ def _experiment_config(args) -> dict:
     cfg: dict = {}
     if args.config:
         with open(args.config) as fh:
-            cfg.update(json.load(fh))
+            loaded = json.load(fh)
+        if not isinstance(loaded, dict):
+            raise ValueError(f"{args.config}: an experiment config must be a JSON object")
+        cfg.update(loaded)
     if args.M:
         cfg["M"] = [int(x) for x in args.M.split(",")]
     if args.N:

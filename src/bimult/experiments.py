@@ -13,7 +13,6 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import struct
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -28,16 +27,13 @@ from .symbols import (
     CounterexampleAConfig,
     CounterexampleBConfig,
     _antidiagonal_signs,
-    _block_A,
-    _block_B,
     _bump_train,
+    _hash64,
     besov_norm,
     block_B_level_measure_coeff,
     counterexample_B_block,
     count_representations,
     lattice_symbol,
-    test_function_A,
-    test_function_B,
 )
 from .bumps import BumpSpec
 
@@ -85,9 +81,7 @@ def substream(master_seed: int, index: int) -> np.random.Generator:
     for key in (master_seed, index):
         if key not in _INT64:
             raise ValueError(f"substream key {key} is outside signed 64-bit")
-    raw = struct.pack("<qq", master_seed, index)
-    digest = hashlib.blake2b(raw, digest_size=8).digest()
-    return np.random.default_rng(int.from_bytes(digest, "little"))
+    return np.random.default_rng(_hash64(master_seed, index))
 
 
 def _map_ordered(fn, items, threads: int = 1) -> list:
@@ -250,25 +244,27 @@ def run_khintchine(config: dict, master_seed: int, threads: int = 1) -> Experime
 def _sign_pool_ratios(
     cfg: CounterexampleAConfig | CounterexampleBConfig,
     key: int,
-    m_plus: SymbolGrid,
     f: SpectralVector,
-    center: int,
     pool: int,
     threads: int = 1,
+    center: int | None = None,
 ) -> list[float]:
     """Operator ratios ||T_m(f, f)||_1 / ||f||_2^2 of the first `pool` sign draws of a block.
 
     Draw d puts the signs of SignAssignment(cfg.block_seed(key, d)) on the
-    anti-diagonals l = j + k of cfg.interval(key), as the block builders do.
-    m_plus is the block with every sign +1, centered at `center`; its output
-    spectrum U is computed once, and a draw is the sign mask eps_{l(zeta)}
-    on U plus one synthesis.  That equals rebuilding the signed symbol bit
-    for bit on every nonzero value: the windows of distinct l are disjoint
-    (see growth_experiment_A) and IEEE negation is exact.
+    anti-diagonals l = j + k of cfg.interval(key), as the block builder does.
+    The block with every sign +1, centered at `center` (None: cfg.center(key)),
+    is built once and so is its output spectrum U; a draw is the sign mask
+    eps_{l(zeta)} on U plus one synthesis.  That equals rebuilding the signed
+    symbol bit for bit on every nonzero value: bumps of radius <= 1/10 confine
+    the output of cell (j, k) to within 0.2 of l = j + k (in lattice units
+    before any dilation), so the windows of distinct l are disjoint, and IEEE
+    negation is exact.
     """
+    center = cfg.center(key) if center is None else center
     I = cfg.interval(key)
     r = cfg.resolution
-    U = output_spectrum(m_plus, f, f)
+    U = output_spectrum(cfg.block_symbol(key, None, center), f, f)
     lo, n_diag = 2 * I.start, 2 * len(I) - 1
     # lattice index zeta lies within 0.2 r of r (l - 2 center) for the l feeding it;
     # zeta outside every window has U(zeta) = 0, so its clipped sign is immaterial
@@ -285,41 +281,37 @@ def _sign_pool_ratios(
     return _map_ordered(ratio_for, range(pool), threads)
 
 
-def _best_draw(ratios: list[float]) -> tuple[float, int]:
-    """(max ratio, first draw index attaining it)."""
-    best = max(range(len(ratios)), key=lambda i: (ratios[i], -i))
-    return ratios[best], best
+def _growth_rows(
+    cfg: CounterexampleAConfig | CounterexampleBConfig, key_name: str, pool: int, threads: int
+) -> list[dict]:
+    """Per block: the best operator ratio of `pool` sign draws and the first draw attaining it.
+
+    Each block is evaluated in its own centered coordinates: shifting the
+    block and its test function by the block center multiplies the output
+    field by a unimodular factor, so all measured magnitudes are unchanged
+    while the grids stay small.
+    """
+    rows = []
+    for key in cfg.block_keys():
+        ratios = _sign_pool_ratios(cfg, key, cfg.test_function(key), pool, threads)
+        best = max(range(pool), key=lambda d: (ratios[d], -d))
+        rows.append({key_name: key, "measured": ratios[best], "bestDraw": best})
+    return rows
+
+
+def _growth_summary(rows: list[dict], pool: int) -> dict:
+    measured = [row["measured"] for row in rows]
+    return {"strictlyIncreasing": all(b > a for a, b in zip(measured, measured[1:])), "pool": pool}
 
 
 def growth_experiment_A(
     cfg: CounterexampleAConfig, seeds_per_block: int = 32, threads: int = 1
 ) -> list[dict]:
-    """Operator ratios per block vs the rho^(1/4) d*(rho) trend.
-
-    Each block is evaluated in its own centered coordinates: shifting the
-    block and both test functions by the block center multiplies the output
-    field by a unimodular factor, so all measured magnitudes are unchanged
-    while the grids stay small.  The trend constant is fitted at the first
-    block.
-
-    The block's magnitude symbol and output spectrum are built once.  The
-    psi bumps have radius <= 1/10, so the terms of u(zeta) from cell (j, k)
-    sit within 0.2 of l = j + k; these windows are disjoint across l, and
-    each pool draw is the all-plus spectrum with the sign of its window
-    flipped, exactly (see `_sign_pool_ratios`).
-    """
-    rows = []
-    for K in range(1, len(cfg.block_b) + 1):
-        center = cfg.center(K)
-        f = test_function_A(K, cfg, center=center)
-        m_plus = _block_A(cfg, K, None, center)
-        ratios = _sign_pool_ratios(cfg, K, m_plus, f, center, seeds_per_block, threads)
-        measured, best = _best_draw(ratios)
-        rho = cfg.rho(K)
-        trend = rho**0.25 * rho ** (-cfg.dstar_exponent)
-        rows.append(
-            {"K": K, "measured": measured, "trend": trend, "bestDraw": best}
-        )
+    """Operator ratios per block vs the rho^(1/4) d*(rho) trend, fitted at the first block."""
+    rows = _growth_rows(cfg, "K", seeds_per_block, threads)
+    for row in rows:
+        rho = cfg.rho(row["K"])
+        row["trend"] = rho**0.25 * rho ** (-cfg.dstar_exponent)
     c = rows[0]["measured"] / rows[0]["trend"]
     for row in rows:
         row["predicted"] = c * row["trend"]
@@ -336,15 +328,12 @@ def run_growth_A(config: dict, master_seed: int, threads: int = 1) -> Experiment
     )
     pool = int(config.get("pool", 32))
     rows = growth_experiment_A(cfg, pool, threads)
+    summary = _growth_summary(rows, pool)
     measured = [row["measured"] for row in rows]
-    increasing = all(b > a for a, b in zip(measured, measured[1:]))
-    spread = max(measured) / min(measured)
-    summary = {
-        "strictlyIncreasing": increasing,
-        "spread": spread,
-        "pool": pool,
-        "passed": bool(increasing) if cfg.dstar_exponent < 0.25 else bool(spread <= 1.5),
-    }
+    summary["spread"] = max(measured) / min(measured)
+    summary["passed"] = (
+        summary["strictlyIncreasing"] if cfg.dstar_exponent < 0.25 else summary["spread"] <= 1.5
+    )
     return ExperimentRecord(
         "growth-A", config, master_seed, rows, summary, time.perf_counter() - t0
     )
@@ -358,31 +347,13 @@ def growth_experiment_B(
     The prediction is the Khintchine average computed in closed finite form:
     amplitude * sqrt(sum_l r(l)^2) / side_count, with r the anti-diagonal
     representation counts of the block's index interval.  No asymptotics.
-
-    As in growth-A, the pool is evaluated on one magnitude spectrum: bumps
-    of radius <= 1/10 confine the output of cell (j, k) to within 0.2 of
-    l = j + k (in lattice units before the 2^-N dilation), the windows of
-    distinct l are disjoint, and a draw's signs become an exact sign mask
-    on that spectrum (see `_sign_pool_ratios`).
     """
-    rows = []
-    for N in cfg.Ns:
-        s = cfg.side_count(N)
-        f = test_function_B(cfg, N)
-        m_plus = _block_B(cfg, N, None, None)
-        ratios = _sign_pool_ratios(cfg, N, m_plus, f, cfg.center(N), seeds_per_block, threads)
-        measured, best = _best_draw(ratios)
+    rows = _growth_rows(cfg, "N", seeds_per_block, threads)
+    for row in rows:
+        s = cfg.side_count(row["N"])
         sum_sq = count_representations(range(s)).sum_squares()
-        predicted = cfg.amplitude(N) * float(sum_sq) ** 0.5 / s
-        rows.append(
-            {
-                "N": N,
-                "measured": measured,
-                "predicted": predicted,
-                "measuredOverPredicted": measured / predicted,
-                "bestDraw": best,
-            }
-        )
+        row["predicted"] = cfg.amplitude(row["N"]) * float(sum_sq) ** 0.5 / s
+        row["measuredOverPredicted"] = row["measured"] / row["predicted"]
     return rows
 
 
@@ -396,19 +367,11 @@ def run_growth_B(config: dict, master_seed: int, threads: int = 1) -> Experiment
     )
     pool = int(config.get("pool", 32))
     rows = growth_experiment_B(cfg, pool, threads)
-    measured = [row["measured"] for row in rows]
-    mop = [row["measuredOverPredicted"] for row in rows]
-    increasing = all(b > a for a, b in zip(measured, measured[1:]))
     band = (float(config.get("band_lo", 0.5)), float(config.get("band_hi", 2.0)))
-    in_band = all(band[0] <= v <= band[1] for v in mop)
-    summary = {
-        "strictlyIncreasing": increasing,
-        "bandLo": band[0],
-        "bandHi": band[1],
-        "inBand": in_band,
-        "pool": pool,
-        "passed": bool(increasing and in_band),
-    }
+    in_band = all(band[0] <= row["measuredOverPredicted"] <= band[1] for row in rows)
+    summary = _growth_summary(rows, pool)
+    summary.update(bandLo=band[0], bandHi=band[1], inBand=in_band)
+    summary["passed"] = summary["strictlyIncreasing"] and in_band
     return ExperimentRecord(
         "growth-B", config, master_seed, rows, summary, time.perf_counter() - t0
     )

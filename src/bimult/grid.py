@@ -173,9 +173,33 @@ def spectral_to_json(spec: SpectralVector) -> str:
     return json.dumps(payload)
 
 
+def _is_number(x) -> bool:
+    return type(x) in (int, float)  # a JSON true or false is not a number
+
+
 def spectral_from_json(text: str) -> SpectralVector:
+    """Inverse of `spectral_to_json`; a payload of any other shape is a ValueError."""
     payload = json.loads(text)
-    b = payload["box"]
+    b = payload.get("box") if isinstance(payload, dict) else None
+    if not (
+        isinstance(b, dict)
+        and all(type(b.get(k)) is int for k in ("dim", "radius", "oversample"))
+        and _is_number(b.get("period"))
+    ):
+        raise ValueError(
+            "spectral JSON must be an object whose 'box' holds integer dim, radius,"
+            " oversample and a numeric period"
+        )
     box = FrequencyBox(b["dim"], b["radius"], b["oversample"], b["period"])
-    flat = np.array([complex(re, im) for re, im in payload["values"]])
+    values = payload.get("values")
+    n, dim = box.n_lattice, box.dim
+    if not (
+        isinstance(values, list)
+        # n >= 3 > 2: a dim above the bit length cannot match, and n^dim is never taken for it
+        and dim <= len(values).bit_length()
+        and len(values) == n**dim
+        and all(isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) for v in values)
+    ):
+        raise ValueError(f"spectral JSON 'values' must be {n}^{dim} [re, im] number pairs")
+    flat = np.array([complex(re, im) for re, im in values])
     return SpectralVector(box, flat.reshape(box.lattice_shape))

@@ -16,14 +16,14 @@ grids small for blocks that sit far from the origin.
 from __future__ import annotations
 
 import hashlib
-import struct
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .bilinear import SymbolGrid
 from .bumps import BumpSpec, smooth_step
-from .grid import FrequencyBox, SpectralVector
+from .grid import FrequencyBox, SpectralVector, l2_norm
 from .lorentz import MeasuredValues, weak_quasinorm
 from .rowcol import CoeffMatrix
 
@@ -51,6 +51,17 @@ __all__ = [
 # deterministic signs
 
 
+def _hash64(*keys: int) -> int:
+    """blake2b-64 digest, read little-endian, of the keys packed as 8 little-endian
+    two's-complement bytes each: the one derivation behind every seeded stream."""
+    raw = b""
+    for key in map(operator.index, keys):
+        if not -(2**63) <= key < 2**64:  # 8 bytes, signed or unsigned
+            raise ValueError(f"hash key {key} does not fit in 64 bits")
+        raw += (key % 2**64).to_bytes(8, "little")
+    return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
+
+
 @dataclass(frozen=True)
 class SignAssignment:
     """Reproducible iid signs: same (seed, index) always gives the same sign."""
@@ -59,11 +70,7 @@ class SignAssignment:
 
     def sign(self, l) -> int:
         idx = l if isinstance(l, tuple) else (int(l),)
-        raw = struct.pack("<Q", self.seed & 0xFFFFFFFFFFFFFFFF) + b"".join(
-            struct.pack("<q", i) for i in idx
-        )
-        digest = hashlib.blake2b(raw, digest_size=8).digest()
-        return 1 if digest[0] & 1 else -1
+        return 1 if _hash64(self.seed, *idx) & 1 else -1
 
 
 # ---------------------------------------------------------------------------
@@ -151,12 +158,15 @@ def power_shell_sequence(box_radius: int, exponent: float) -> ShellSequence:
 # lattice-bump symbols
 
 
-def _check_symbol_bump(psi: BumpSpec) -> None:
-    """Bumps of radius <= 1/10 around lattice points are pairwise disjoint.
+def _check_symbol_grid(psi: BumpSpec, resolution: int) -> None:
+    """At least one sample per unit cell, and bumps of radius <= 1/10 around
+    lattice points, which are then pairwise disjoint.
 
-    The growth experiments' sign pool also relies on it: a cell (j, k) then
-    feeds only output frequencies within 0.2 of j + k.
+    The growth experiments' sign pool also relies on the radius: a cell (j, k)
+    then feeds only output frequencies within 0.2 of j + k.
     """
+    if resolution < 1:
+        raise ValueError(f"resolution must be >= 1, not {resolution}")
     if psi.radius > 0.1 + 1e-12:
         raise ValueError("bump support radius must be <= 1/10")
 
@@ -207,7 +217,7 @@ def lattice_symbol(
     `resolution` samples per unit cell; `center` shifts the lattice so that
     entry (k, l) is placed at (k - center[0], l - center[1]).
     """
-    _check_symbol_bump(psi)
+    _check_symbol_grid(psi, resolution)
     if not c.entries:
         raise ValueError("empty coefficient matrix")
     r = resolution
@@ -223,19 +233,76 @@ def lattice_symbol(
 
 
 # ---------------------------------------------------------------------------
+# the counterexample block family
+
+
+def _antidiagonal_signs(I: range, seed: int | None) -> dict[int, int]:
+    """eps_l for every anti-diagonal l = j + k of I x I; all +1 when seed is None."""
+    ls = range(2 * I.start, 2 * I.stop - 1)
+    if seed is None:
+        return dict.fromkeys(ls, 1)
+    signs = SignAssignment(seed)
+    return {l: signs.sign(l) for l in ls}
+
+
+class _BlockFamily:
+    """The construction both counterexamples share.
+
+    Block `key` holds the coefficients eps_{j+k} * weight(key, j, k) on I x I,
+    I = interval(key): one sign per anti-diagonal, drawn from
+    SignAssignment(block_seed(key, draw)).  Its symbol puts a psi bump at each
+    (j, k) in coordinates centered at `center`, dilated by 2^-dilation(key);
+    its test function puts one phi_hat bump at each j in I.  A config supplies
+    block_keys, interval, center, weight and provenance, and a dilated family
+    its dilation.
+    """
+
+    def block_seed(self, key: int, draw: int = 0) -> int:
+        """Sign seed of draw `draw` for block `key`, hashed from the master seed."""
+        return _hash64(self.master_seed, key, draw)
+
+    def block_entries(self, key: int, seed: int | None, center: int) -> dict:
+        """{(j - center, k - center): eps_{j+k} * weight}; seed None sets every sign +1."""
+        I = self.interval(key)
+        eps = _antidiagonal_signs(I, seed)
+        return {
+            (j - center, k - center): eps[j + k] * self.weight(key, j, k) for j in I for k in I
+        }
+
+    def dilation(self, key: int) -> int:
+        return 0
+
+    def _layout(self, key: int, center: int | None) -> tuple[int, int]:
+        """(center, F): center None is center(key), and F = r * (max |j - center| + 1)
+        over j in I, so that the grid holds every bump of the block."""
+        center = self.center(key) if center is None else center
+        I = self.interval(key)
+        return center, self.resolution * (max(abs(I.start - center), abs(I.stop - 1 - center)) + 1)
+
+    def block_symbol(self, key: int, seed: int | None, center: int | None = None) -> SymbolGrid:
+        """The sampled block symbol, at spacing 2^-dilation / resolution, so that
+        symbol-side norms are in undilated units."""
+        center, F = self._layout(key, center)
+        r = self.resolution
+        values = _stamp(self.block_entries(key, seed, center), self.psi, r, F)
+        spacing = 2.0 ** -self.dilation(key) / r
+        return SymbolGrid(2, F, values, spacing, self.provenance(key, seed, center))
+
+    def test_function(self, key: int, center: int | None = None) -> SpectralVector:
+        """One phi_hat bump per block index, on the torus of period r * 2^dilation."""
+        center, F = self._layout(key, center)
+        r = self.resolution
+        box = FrequencyBox(1, F, self.oversample, float(r) * 2 ** self.dilation(key))
+        local = [j - center for j in self.interval(key)]
+        return SpectralVector(box, _bump_train(self.phi_hat, F, r, local))
+
+
+# ---------------------------------------------------------------------------
 # counterexample A: anti-diagonal signs on a single lattice
 
 
-class _BlockSeeds:
-    """Sign seed of draw `draw` for block `key`, hashed from the master seed."""
-
-    def block_seed(self, key: int, draw: int = 0) -> int:
-        raw = struct.pack("<qqq", self.master_seed, key, draw)
-        return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
-
-
 @dataclass(frozen=True)
-class CounterexampleAConfig(_BlockSeeds):
+class CounterexampleAConfig(_BlockFamily):
     """Blocks I_K = {b_K .. 2 b_K - 1} with anti-diagonal signs and shell magnitudes.
 
     block_b: strictly increasing with b_{K+1} > 2 b_K, so the blocks are
@@ -259,10 +326,15 @@ class CounterexampleAConfig(_BlockSeeds):
             raise ValueError("blocks must satisfy b_{K+1} > 2 b_K")
         if any(b < 1 for b in bs):
             raise ValueError("block offsets must be positive")
-        _check_symbol_bump(self.psi)
+        _check_symbol_grid(self.psi, self.resolution)
         object.__setattr__(self, "block_b", bs)
 
+    def block_keys(self) -> range:
+        return range(1, len(self.block_b) + 1)
+
     def interval(self, K: int) -> range:
+        if K not in self.block_keys():
+            raise ValueError(f"block index K={K} is outside 1..{len(self.block_b)}")
         b = self.block_b[K - 1]
         return range(b, 2 * b)
 
@@ -274,59 +346,37 @@ class CounterexampleAConfig(_BlockSeeds):
     def rho(self, K: int) -> int:
         return (4 * self.block_b[K - 1]) ** 2
 
-    def magnitude(self, j: int, k: int) -> float:
+    def weight(self, K: int, j: int, k: int) -> float:
         """Shell-monotone magnitude d_{j,k} = (shell-lex rank)^(-exponent)."""
         return float(shell_rank(j, k)) ** (-self.dstar_exponent)
 
-
-def _antidiagonal_signs(I: range, seed: int | None) -> dict[int, int]:
-    """eps_l for every anti-diagonal l = j + k of I x I; all +1 when seed is None."""
-    ls = range(2 * I.start, 2 * I.stop - 1)
-    if seed is None:
-        return dict.fromkeys(ls, 1)
-    signs = SignAssignment(seed)
-    return {l: signs.sign(l) for l in ls}
-
-
-def _block_A_entries(cfg: CounterexampleAConfig, K: int, seed: int | None) -> dict:
-    I = cfg.interval(K)
-    eps = _antidiagonal_signs(I, seed)
-    return {(j, k): eps[j + k] * cfg.magnitude(j, k) for j in I for k in I}
+    def provenance(self, K: int, seed: int | None, center: int) -> dict:
+        # a block of the single lattice: recorded as the lattice symbol it is
+        return {
+            "generator": "lattice_symbol",
+            "resolution": self.resolution,
+            "center": [center, center],
+        }
 
 
-def counterexample_A(
-    cfg: CounterexampleAConfig, block_seeds: dict[int, int] | None = None
-) -> CoeffMatrix:
-    """Coefficients on the union of blocks: signs constant along anti-diagonals."""
+def counterexample_A(cfg: CounterexampleAConfig) -> CoeffMatrix:
+    """Coefficients on the union of the disjoint blocks: signs constant along anti-diagonals."""
     entries: dict = {}
-    for K in range(1, len(cfg.block_b) + 1):
-        block = _block_A_entries(cfg, K, (block_seeds or {}).get(K, cfg.block_seed(K)))
-        if not entries.keys().isdisjoint(block):
-            raise ValueError("overlapping blocks")
-        entries.update(block)
+    for K in cfg.block_keys():
+        entries.update(cfg.block_entries(K, cfg.block_seed(K), 0))
     return CoeffMatrix(entries)
 
 
 def test_function_A(K: int, cfg: CounterexampleAConfig, center: int = 0) -> SpectralVector:
     """f_K with one frequency bump per block index, on the torus of period r."""
-    r = cfg.resolution
-    local = [j - center for j in cfg.interval(K)]
-    F = r * (max(map(abs, local)) + 1)
-    box = FrequencyBox(1, F, cfg.oversample, float(r))
-    return SpectralVector(box, _bump_train(cfg.phi_hat, F, r, local))
+    return cfg.test_function(K, center)
 
 
 def block_A_symbol(
-    cfg: CounterexampleAConfig, K: int, seed: int, center: int = 0
+    cfg: CounterexampleAConfig, K: int, seed: int | None, center: int = 0
 ) -> SymbolGrid:
-    """Single-block lattice symbol for block K with the given sign seed."""
-    return _block_A(cfg, K, seed, center)
-
-
-def _block_A(cfg: CounterexampleAConfig, K: int, seed: int | None, center: int) -> SymbolGrid:
-    """`block_A_symbol`; seed None sets every sign +1, the magnitudes all draws share."""
-    entries = _block_A_entries(cfg, K, seed)
-    return lattice_symbol(CoeffMatrix(entries), cfg.psi, cfg.resolution, (center, center))
+    """Single-block lattice symbol for block K with the given sign seed (None: all +1)."""
+    return cfg.block_symbol(K, seed, center)
 
 
 # ---------------------------------------------------------------------------
@@ -334,7 +384,7 @@ def _block_A(cfg: CounterexampleAConfig, K: int, seed: int | None, center: int) 
 
 
 @dataclass(frozen=True)
-class CounterexampleBConfig(_BlockSeeds):
+class CounterexampleBConfig(_BlockFamily):
     """Dilated block family: bumps of width 2^-N at spacing 2^-N, coherent signs.
 
     mode 'paper' uses side count 2^(N^2 + N/2) and amplitude 2^(-n N^2 / 2)
@@ -360,7 +410,7 @@ class CounterexampleBConfig(_BlockSeeds):
             raise ValueError("paper mode requires even N")
         if any(N < 1 for N in Ns):
             raise ValueError("N must be positive")
-        _check_symbol_bump(self.psi)
+        _check_symbol_grid(self.psi, self.resolution)
         object.__setattr__(self, "Ns", Ns)
         # disjointness of the dilated block supports, checked arithmetically:
         # block N occupies xi in [(b_N - 1)/2^N, (b_N + s_N)/2^N]
@@ -371,6 +421,9 @@ class CounterexampleBConfig(_BlockSeeds):
         for (_, hi), (lo, _) in zip(spans, spans[1:]):
             if lo <= hi:
                 raise ValueError("block supports overlap")
+
+    def block_keys(self) -> tuple[int, ...]:
+        return self.Ns
 
     def side_count(self, N: int) -> int:
         if self.mode == "paper":
@@ -394,15 +447,27 @@ class CounterexampleBConfig(_BlockSeeds):
         """Default block center: the grids are built in coordinates centered here."""
         return self.offset(N) + self.side_count(N) // 2
 
+    def weight(self, N: int, j: int, k: int) -> float:
+        return self.amplitude(N)
 
-def _block_B_layout(cfg: CounterexampleBConfig, N: int, center: int | None):
-    I = cfg.interval(N)
-    if center is None:
-        center = cfg.center(N)
-    local = [j - center for j in I]
-    r = cfg.resolution
-    F = r * (max(abs(local[0]), abs(local[-1])) + 1)
-    return I, center, local, r, F
+    def dilation(self, N: int) -> int:
+        return N
+
+    def provenance(self, N: int, seed: int | None, center: int) -> dict:
+        return {
+            "generator": "counterexample_B_block",
+            "mode": self.mode,
+            "N": N,
+            "seed": seed,
+            "center": center,
+            "resolution": self.resolution,
+        }
+
+    def test_function(self, N: int, center: int | None = None) -> SpectralVector:
+        """The family's test function scaled to unit L2 norm (never 0: every bump is
+        sampled at its peak, where both bump shapes equal 1)."""
+        f = super().test_function(N, center)
+        return SpectralVector(f.box, f.values / l2_norm(f))
 
 
 def counterexample_B_block(
@@ -410,51 +475,17 @@ def counterexample_B_block(
 ) -> SymbolGrid:
     """Block symbol: amplitude * sum_{j,k} eps_{j+k} psi-bump at (j, k), dilated 2^-N.
 
-    The grid carries spacing 2^-N / resolution, so symbol-side norms are in
-    undilated units.  Signs key on the global anti-diagonal index j + k.
+    Signs key on the global anti-diagonal index j + k; seed None is the
+    block's own seed, cfg.block_seed(N).
     """
-    if seed is None:
-        seed = cfg.block_seed(N)
-    return _block_B(cfg, N, seed, center)
-
-
-def _block_B(
-    cfg: CounterexampleBConfig, N: int, seed: int | None, center: int | None
-) -> SymbolGrid:
-    """`counterexample_B_block`; seed None sets every sign +1."""
-    I, center, local, r, F = _block_B_layout(cfg, N, center)
-    eps = _antidiagonal_signs(I, seed)
-    amp = cfg.amplitude(N)
-    entries = {
-        (jl, kl): amp * eps[j + k] for j, jl in zip(I, local) for k, kl in zip(I, local)
-    }
-    return SymbolGrid(
-        2,
-        F,
-        _stamp(entries, cfg.psi, r, F),
-        spacing=2.0**-N / r,
-        provenance={
-            "generator": "counterexample_B_block",
-            "mode": cfg.mode,
-            "N": N,
-            "seed": seed,
-            "center": center,
-            "resolution": r,
-        },
-    )
+    return cfg.block_symbol(N, cfg.block_seed(N) if seed is None else seed, center)
 
 
 def test_function_B(
     cfg: CounterexampleBConfig, N: int, center: int | None = None
 ) -> SpectralVector:
     """Companion test function: one phi-bump per block index, unit L2 norm."""
-    _, center, local, r, F = _block_B_layout(cfg, N, center)
-    box = FrequencyBox(1, F, cfg.oversample, float(r) * 2**N)
-    values = _bump_train(cfg.phi_hat, F, r, local)
-    norm = np.linalg.norm(values) * box.period**0.5
-    if norm == 0.0:
-        raise ValueError("resolution too coarse: empty bump samples")
-    return SpectralVector(box, values / norm)
+    return cfg.test_function(N, center)
 
 
 # ---------------------------------------------------------------------------

@@ -373,3 +373,60 @@ def test_seed_outside_int64_is_rejected(tmp_path, capsys, monkeypatch, matrix_fi
     assert not os.path.exists(out)
     monkeypatch.setenv("BIMULT_SEED", str(2**63 - 1))
     assert run(argv) == 0
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--kind", "block-A", "--K", "0"],
+        ["--kind", "block-A", "--K", "-2"],
+        ["--kind", "block-A", "--resolution", "0"],
+        ["--kind", "block-B", "--resolution", "0"],
+        ["--kind", "lattice", "--resolution", "0", "--coeffs", "COEFFS"],
+        ["--kind", "lattice"],
+    ],
+    ids=["A-K0", "A-K-2", "A-res0", "B-res0", "lattice-res0", "lattice-no-coeffs"],
+)
+def test_gen_symbol_bad_block_config_is_one_line_error(tmp_path, capsys, matrix_file, argv):
+    out = tmp_path / "sym.bin"
+    argv = [matrix_file if a == "COEFFS" else a for a in argv]
+    assert run(["gen-symbol", *argv, "--seed", "1", "--out", str(out)]) == 1
+    assert _one_line_error(capsys)
+    assert not out.exists()
+
+
+def test_experiment_non_object_config_is_one_line_error(tmp_path, capsys):
+    config = tmp_path / "c.json"
+    config.write_text("[1]")
+    out = tmp_path / "out"
+    argv = ["experiment", "khintchine", "--config", str(config), "--seed", "1", "--out", str(out)]
+    assert run(argv) == 1
+    assert _one_line_error(capsys, naming="JSON object")
+    assert not out.exists() or os.listdir(out) == []
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        [1, 2],
+        {"box": [1], "values": []},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2}, "values": []},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0}},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0}, "values": [[1, 0]]},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
+         "values": [[1, 0], [0, "x"], [0, 0]]},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
+         "values": [[1, 0], 2, [0, 0]]},
+        {"box": {"dim": 10**9, "radius": 1, "oversample": 2, "period": 10.0}, "values": []},
+    ],
+    ids=["list", "box-list", "no-period", "no-values", "short-values", "string-value",
+         "bare-value", "huge-dim"],
+)
+def test_apply_malformed_spectral_json_is_one_line_error(tmp_path, capsys, payload):
+    sym, (fpath, gpath) = _apply_inputs(
+        tmp_path, lambda rng, n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    )
+    open(fpath, "w").write(json.dumps(payload))
+    capsys.readouterr()
+    assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath]) == 1
+    assert _one_line_error(capsys, naming="spectral JSON")

@@ -21,16 +21,7 @@ from bimult.experiments import (
 )
 from bimult.bilinear import operator_ratio
 from bimult.experiments import _sign_pool_ratios, growth_experiment_B, levelset_profile
-from bimult.symbols import (
-    CounterexampleAConfig,
-    CounterexampleBConfig,
-    _block_A,
-    _block_B,
-    block_A_symbol,
-    counterexample_B_block,
-)
-from bimult.symbols import test_function_A as make_f_A
-from bimult.symbols import test_function_B as make_f_B
+from bimult.symbols import CounterexampleAConfig, CounterexampleBConfig
 
 MASTER_SEED = 20260824  # the acceptance gate's seed
 
@@ -99,28 +90,29 @@ def test_growth_B_prediction_band_small():
         assert 0.5 <= row["measuredOverPredicted"] <= 2.0
 
 
-@pytest.mark.parametrize("K", [1, 2])
-@pytest.mark.parametrize("centered", [True, False], ids=["block-center", "origin"])
-def test_growth_A_sign_pool_equals_symbol_rebuild(K, centered):
+@pytest.mark.parametrize(
+    "family, key, centered",
+    [
+        pytest.param("A", 1, True, id="A-block-center-1"),
+        pytest.param("A", 2, True, id="A-block-center-2"),
+        pytest.param("A", 1, False, id="A-origin-1"),
+        pytest.param("A", 2, False, id="A-origin-2"),
+        pytest.param("B", 1, True, id="B-block-center-1"),
+        pytest.param("B", 2, True, id="B-block-center-2"),
+    ],
+)
+def test_sign_pool_equals_symbol_rebuild(family, key, centered):
     # oracle: the per-draw symbol rebuild the sign pool replaces, bit for bit
-    cfg = CounterexampleAConfig(block_b=(4, 16), dstar_exponent=0.125, master_seed=MASTER_SEED)
-    center = cfg.center(K) if centered else 0
-    f = make_f_A(K, cfg, center=center)
-    ratios = _sign_pool_ratios(cfg, K, _block_A(cfg, K, None, center), f, center, 4)
+    cfg = {
+        "A": CounterexampleAConfig(block_b=(4, 16), dstar_exponent=0.125, master_seed=MASTER_SEED),
+        "B": CounterexampleBConfig(mode="desk", Ns=(1, 2), master_seed=MASTER_SEED),
+    }[family]
+    center = cfg.center(key) if centered else 0
+    f = cfg.test_function(key, center)
+    ratios = _sign_pool_ratios(cfg, key, f, 4, center=center)
     assert len(ratios) == 4 and len(set(ratios)) > 1
     for d, ratio in enumerate(ratios):
-        m = block_A_symbol(cfg, K, cfg.block_seed(K, d), center=center)
-        assert ratio == operator_ratio(m, f, f)
-
-
-@pytest.mark.parametrize("N", [1, 2])
-def test_growth_B_sign_pool_equals_symbol_rebuild(N):
-    cfg = CounterexampleBConfig(mode="desk", Ns=(1, 2), master_seed=MASTER_SEED)
-    f = make_f_B(cfg, N)
-    ratios = _sign_pool_ratios(cfg, N, _block_B(cfg, N, None, None), f, cfg.center(N), 4)
-    assert len(ratios) == 4 and len(set(ratios)) > 1
-    for d, ratio in enumerate(ratios):
-        m = counterexample_B_block(cfg, N, seed=cfg.block_seed(N, d))
+        m = cfg.block_symbol(key, cfg.block_seed(key, d), center)
         assert ratio == operator_ratio(m, f, f)
 
 

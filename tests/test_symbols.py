@@ -1,5 +1,8 @@
 """Symbol generators, shell sequences, dyadic pieces, and counting."""
 
+import hashlib
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,6 +18,7 @@ from bimult.symbols import (
     CounterexampleBConfig,
     ReprTable,
     SignAssignment,
+    _hash64,
     _shell_order,
     besov_norm,
     block_A_symbol,
@@ -127,6 +131,26 @@ def test_signs_reproducible():
     assert set(s1.sign(l) for l in range(200)) == {-1, 1}
 
 
+def _blake2b_64(raw: bytes) -> int:
+    return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
+
+
+def test_hash64_matches_each_hand_packed_derivation():
+    # the packings substream, block_seed and SignAssignment each used to write out
+    rng = np.random.default_rng(11)
+    for _ in range(500):
+        a, b, c = (int(x) for x in rng.integers(-(2**63), 2**63, size=3, dtype=np.int64))
+        seed = int(rng.integers(0, 2**64, dtype=np.uint64))
+        assert _hash64(a, b) == _blake2b_64(struct.pack("<qq", a, b))
+        assert _hash64(a, b, c) == _blake2b_64(struct.pack("<qqq", a, b, c))
+        raw = struct.pack("<Q", seed) + struct.pack("<q", a) + struct.pack("<q", b)
+        assert SignAssignment(seed).sign((a, b)) == (1 if _blake2b_64(raw) & 1 else -1)
+    for key in (2**64, -(2**63) - 1):
+        with pytest.raises(ValueError, match="64 bits"):
+            _hash64(0, key)
+    assert _hash64(2**64 - 1) == _hash64(-1)  # the same 8 bytes
+
+
 def test_counterexample_A_single_cell():
     cfg = CounterexampleAConfig(block_b=(1,), dstar_exponent=0.0, master_seed=0)
     c = counterexample_A(cfg)
@@ -156,8 +180,7 @@ def test_counterexample_A_block_spacing_guard():
 
 def test_companion_A_bump_count_and_norm():
     cfg = CounterexampleAConfig(block_b=(4,), dstar_exponent=0.125, master_seed=1)
-    center = (cfg.interval(1).start + cfg.interval(1).stop - 1) // 2
-    f = make_f_A(1, cfg, center=center)
+    f = make_f_A(1, cfg, center=cfg.center(1))
     # b_1 = 4 disjoint plateau bumps; L2 is 4x the single-bump L2
     single = CounterexampleAConfig(block_b=(1,), dstar_exponent=0.125, master_seed=1)
     f1 = make_f_A(1, single, center=1)
@@ -212,6 +235,36 @@ def test_block_configs_reject_wide_bumps(make):
     make(BumpSpec(radius=0.1, plateau=0.05))
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda r: CounterexampleAConfig(
+            block_b=(4,), dstar_exponent=0.125, master_seed=0, resolution=r
+        ),
+        lambda r: CounterexampleBConfig(mode="desk", Ns=(1,), master_seed=0, resolution=r),
+        lambda r: lattice_symbol(CoeffMatrix({(0, 0): 1.0}), PSI, r),
+    ],
+    ids=["A", "B", "lattice"],
+)
+@pytest.mark.parametrize("resolution", [0, -3])
+def test_symbol_grids_reject_resolution_below_one(make, resolution):
+    with pytest.raises(ValueError, match="resolution must be >= 1"):
+        make(resolution)
+
+
+@pytest.mark.parametrize("K", [0, -2, 3])
+def test_block_A_rejects_index_outside_its_blocks(K):
+    # K = 0 used to read block_b[-1] and build the last block
+    cfg = CounterexampleAConfig(block_b=(4, 16), dstar_exponent=0.125, master_seed=0)
+    for build in (
+        lambda: block_A_symbol(cfg, K, 1),
+        lambda: make_f_A(K, cfg),
+        lambda: cfg.center(K),
+    ):
+        with pytest.raises(ValueError, match="outside 1..2"):
+            build()
+
+
 # ---------------------------------------------------------------------------
 # modulation invariance of the block constructions under `center`
 
@@ -236,37 +289,25 @@ def _ratios_on_common_grid(build, centers):
     return ratios
 
 
+@pytest.mark.parametrize("family", ["A", "B"])
 @settings(max_examples=20, deadline=None, derandomize=True)
-@given(
-    b=st.integers(1, 3),
-    resolution=st.integers(10, 14),
-    seed=st.integers(0, 2**63 - 1),
-    shifts=st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
-)
-def test_block_A_ratio_invariant_under_center_shift(b, resolution, seed, shifts):
-    cfg = CounterexampleAConfig(
-        block_b=(b,), dstar_exponent=0.125, master_seed=0, resolution=resolution
-    )
-    centers = [b + s for s in shifts]
+@given(data=st.data(), seed=st.integers(0, 2**63 - 1))
+def test_block_ratio_invariant_under_center_shift(family, data, seed):
+    if family == "A":  # one block b..2b-1, shifted around its start b
+        b = data.draw(st.integers(1, 3), label="b")
+        resolution = data.draw(st.integers(10, 14), label="resolution")
+        cfg = CounterexampleAConfig(
+            block_b=(b,), dstar_exponent=0.125, master_seed=0, resolution=resolution
+        )
+        key, base, reach = 1, b, 6
+    else:  # one desk block N, shifted around its center
+        key = data.draw(st.integers(1, 2), label="N")
+        cfg = CounterexampleBConfig(mode="desk", Ns=(key,), master_seed=0, resolution=10)
+        base, reach = cfg.center(key), 8
+    shifts = data.draw(st.tuples(st.integers(-reach, reach), st.integers(-reach, reach)))
     r0, r1 = _ratios_on_common_grid(
-        lambda c: (block_A_symbol(cfg, 1, seed, center=c), make_f_A(1, cfg, center=c)),
-        centers,
-    )
-    assert r1 == pytest.approx(r0, rel=1e-9)
-
-
-@settings(max_examples=10, deadline=None, derandomize=True)
-@given(
-    N=st.integers(1, 2),
-    seed=st.integers(0, 2**63 - 1),
-    shifts=st.tuples(st.integers(-8, 8), st.integers(-8, 8)),
-)
-def test_block_B_ratio_invariant_under_center_shift(N, seed, shifts):
-    cfg = CounterexampleBConfig(mode="desk", Ns=(N,), master_seed=0, resolution=10)
-    centers = [cfg.center(N) + s for s in shifts]
-    r0, r1 = _ratios_on_common_grid(
-        lambda c: (counterexample_B_block(cfg, N, seed=seed, center=c), make_f_B(cfg, N, center=c)),
-        centers,
+        lambda c: (cfg.block_symbol(key, seed, c), cfg.test_function(key, c)),
+        [base + s for s in shifts],
     )
     assert r1 == pytest.approx(r0, rel=1e-9)
 
