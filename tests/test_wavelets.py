@@ -1,10 +1,16 @@
 """Meyer product-wavelet profiles, coefficients, and the scale-decay ratio."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
 from bimult.bilinear import SymbolGrid
+from bimult.bumps import BumpSpec
+from bimult.experiments import substream
 from bimult.lorentz import weak_quasinorm
+from bimult.rowcol import CoeffMatrix
+from bimult.symbols import lattice_symbol
 from bimult.wavelets import (
     lemma_discrete_ratio,
     meyer_father_hat,
@@ -135,3 +141,40 @@ def test_incompatible_resolution_rejected():
     m = SymbolGrid(2, 16, np.ones((33, 33)), 1.0 / 10)  # 10 not divisible by 4
     with pytest.raises(ValueError):
         wavelet_coefficients(m, 3)
+
+
+def criterion_9_draw(t, master_seed=20260824):
+    """Lattice symbol t of the acceptance gate's criterion-9 wavelet corpus."""
+    rng = substream(master_seed, t)
+    M = int(rng.integers(1, 4))
+    keep = rng.random((2 * M + 1, 2 * M + 1)) < 0.5
+    vals = rng.standard_normal(keep.shape) + 1j * rng.standard_normal(keep.shape)
+    entries = {
+        (k - M, l - M): vals[k, l]
+        for k in range(2 * M + 1)
+        for l in range(2 * M + 1)
+        if keep[k, l]
+    }
+    entries[(0, 0)] = entries.get((0, 0), 1.0 + 0.0j)
+    return lattice_symbol(CoeffMatrix(entries), BumpSpec(radius=0.1, plateau=0.05), 16)
+
+
+def coefficient_digest(coeffs: dict) -> str:
+    """sha256 over every (j, G, beta) key and the float.hex of each coefficient, in dict order."""
+    h = hashlib.sha256()
+    for (j, G), table in coeffs.items():
+        for beta, c in table.items():
+            assert type(c) is complex
+            h.update(f"{j} {''.join(G)} {beta} {c.real.hex()} {c.imag.hex()}\n".encode())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize(
+    "t, digest",
+    [
+        (0, "6549768e5f94ced29f2b63c96eb98c6e8cf3d69444c3348df3d8360162f81138"),
+        (1, "598a42017c11e18ea1ff83b7c4333e9a0a4111189a59d4ce15e56869963373e6"),
+    ],
+)
+def test_corpus_coefficients_are_pinned(t, digest):
+    assert coefficient_digest(wavelet_coefficients(criterion_9_draw(t), 4)) == digest
