@@ -291,6 +291,8 @@ def _growth_rows(
     field by a unimodular factor, so all measured magnitudes are unchanged
     while the grids stay small.
     """
+    if pool < 1:
+        raise ValueError(f"pool must be >= 1, not {pool}")
     rows = []
     for key in cfg.block_keys():
         ratios = _sign_pool_ratios(cfg, key, cfg.test_function(key), pool, threads)

@@ -186,14 +186,21 @@ def _bump_patch(psi: BumpSpec, resolution: int) -> np.ndarray:
 
 
 def _stamp(entries: dict, psi: BumpSpec, resolution: int, F: int) -> np.ndarray:
-    """(2F+1)^2 samples of sum v * Psi(. - k, . - l) over the entries {(k, l): v}."""
+    """(2F+1)^2 samples of sum v * Psi(. - k, . - l) over the entries {(k, l): v}.
+
+    One scatter per patch offset (di, dj) over all entries.  _check_symbol_grid
+    keeps the patches disjoint, so each sample receives exactly one 0 + v * Psi,
+    the same sum as stamping the entries one patch at a time.
+    """
     patch = _bump_patch(psi, resolution)
     w = patch.shape[0] // 2
+    kl = np.array(list(entries), dtype=np.int64)
+    v = np.array(list(entries.values()))
+    rows = F + resolution * kl[:, 0] - w
+    cols = F + resolution * kl[:, 1] - w
     values = np.zeros((2 * F + 1, 2 * F + 1), dtype=complex)
-    for (k, l), v in entries.items():
-        i0 = F + resolution * k
-        j0 = F + resolution * l
-        values[i0 - w : i0 + w + 1, j0 - w : j0 + w + 1] += v * patch
+    for di, dj in np.ndindex(patch.shape):
+        values[rows + di, cols + dj] += v * patch[di, dj]
     return values
 
 
@@ -326,6 +333,8 @@ class CounterexampleAConfig(_BlockFamily):
             raise ValueError("blocks must satisfy b_{K+1} > 2 b_K")
         if any(b < 1 for b in bs):
             raise ValueError("block offsets must be positive")
+        if not bs:
+            raise ValueError("block_b must name at least one block")
         _check_symbol_grid(self.psi, self.resolution)
         object.__setattr__(self, "block_b", bs)
 
@@ -408,6 +417,8 @@ class CounterexampleBConfig(_BlockFamily):
         Ns = tuple(int(N) for N in self.Ns)
         if self.mode == "paper" and any(N % 2 for N in Ns):
             raise ValueError("paper mode requires even N")
+        if not Ns:
+            raise ValueError("N must name at least one block")
         if any(N < 1 for N in Ns):
             raise ValueError("N must be positive")
         _check_symbol_grid(self.psi, self.resolution)
@@ -501,10 +512,15 @@ def _symbol_freq_radii(m: SymbolGrid) -> np.ndarray:
 
 def _lp_cutoffs(m: SymbolGrid, k_max: int | None = None) -> list[np.ndarray]:
     """Dyadic cutoffs phi_0 = c_0, phi_k = c_k - c_{k-1} (k <= k_max) on m's DFT radius
-    grid, c_k = smooth_step((1.5 - rho / 2^k) / 0.5): 1 on rho <= 2^k, 0 on rho >= 1.5 2^k."""
+    grid, c_k = smooth_step((1.5 - rho / 2^k) / 0.5): 1 on rho <= 2^k, 0 on rho >= 1.5 2^k.
+
+    The default k_max is the first k with 2^k >= band = sqrt(dim) / (2 spacing).  Every
+    DFT radius on the grid is below band, so c_k is exactly 1.0 at every sample for
+    k >= k_max, and every later phi_k is exactly 0.0: it adds nothing to any sum.
+    """
     if k_max is None:
         band = 0.5 / m.spacing * np.sqrt(m.dim)
-        k_max = int(np.ceil(np.log2(max(band, 2.0)))) + 2
+        k_max = int(np.ceil(np.log2(max(band, 2.0))))
     rho = _symbol_freq_radii(m)
     c = [smooth_step((1.5 - rho / 2.0**k) / 0.5) for k in range(k_max + 1)]
     return c[:1] + [c[k] - c[k - 1] for k in range(1, k_max + 1)]

@@ -131,11 +131,11 @@ def wavelet_coefficients(m: SymbolGrid, j_max: int) -> dict:
         dOmega = (1.0 / (P * m.spacing)) ** d
         table = np.fft.ifftn(filt) * P**d * dOmega * lam**-n
         beta_max = (P // 2 - 1) // stride
-        coeffs = {}
-        for beta in product(range(-beta_max, beta_max + 1), repeat=d):
-            idx = tuple((b * stride) % P for b in beta)
-            coeffs[beta] = complex(table[idx])
-        out[(j, G)] = coeffs
+        betas = range(-beta_max, beta_max + 1)
+        # one gather; row-major order of the sub-table is the order product() yields
+        axis_idx = (np.array(betas) * stride) % P
+        sub = table[np.ix_(*[axis_idx] * d)]
+        out[(j, G)] = dict(zip(product(betas, repeat=d), sub.ravel().tolist()))
     return out
 
 

@@ -96,6 +96,25 @@ def test_experiment_threshold_failure_exit_2(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize(
+    "name, config, naming",
+    [
+        ("growth-B", {"mode": "desk", "N": []}, "N must name at least one block"),
+        ("growth-A", {"block_b": []}, "block_b must name at least one block"),
+        ("growth-A", {"block_b": [4], "pool": 0}, "pool must be >= 1"),
+        ("growth-B", {"mode": "desk", "N": [1], "pool": 0}, "pool must be >= 1"),
+    ],
+)
+def test_growth_rejects_empty_blocks_and_pool(tmp_path, capsys, name, config, naming):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = run(["experiment", name, "--config", str(cfgp), "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert _one_line_error(capsys, naming)
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_experiment_byte_identical_across_workers(tmp_path):
     blobs = []
     for i, threads in enumerate((1, 4, 8)):

@@ -373,17 +373,30 @@ def test_besov_norm_band_limited_equals_weak():
 
 
 def test_besov_norm_makes_one_forward_fft(monkeypatch):
-    m = band_limited_symbol(2.0, 5)
-    calls = []
-    real = np.fft.fftn
+    # the boundedness corpus grid: radius 50 at spacing 1/10, so band = sqrt(2) * 5 <= 2^3
+    m = band_limited_symbol(2.0, 5, F=50, res=10)
+    calls = {"fftn": 0, "ifftn": 0}
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+    def counting(name):
+        real = getattr(np.fft, name)
 
-    monkeypatch.setattr(np.fft, "fftn", counting)
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(np.fft, name, counting(name))
     besov_norm(m)
-    assert len(calls) == 1
+    # one forward FFT, and one inverse per dyadic piece k = 0..3 that can be nonzero
+    assert calls == {"fftn": 1, "ifftn": 4}
+
+
+def test_besov_norm_default_drops_only_zero_pieces():
+    m = band_limited_symbol(2.0, 5, F=50, res=10)
+    k0 = 3  # first k with 2^k >= band = sqrt(2) * 5
+    assert besov_norm(m, k0 + 2).hex() == besov_norm(m).hex()
 
 
 def test_besov_norm_zero_and_homogeneous():
