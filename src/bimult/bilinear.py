@@ -8,6 +8,8 @@ The operator output is band-limited to [-2F_in, 2F_in] per axis.
 
 from __future__ import annotations
 
+import itertools
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -15,7 +17,8 @@ import numpy as np
 from .grid import FrequencyBox, PhysicalField, SpectralVector, l1_norm, l2_norm, synthesize
 from .lorentz import MeasuredValues
 
-__all__ = ["SymbolGrid", "output_spectrum", "apply_bilinear", "operator_ratio"]
+__all__ = ["SymbolGrid", "output_spectrum", "stream_output_spectrum", "apply_bilinear",
+           "operator_ratio"]
 
 
 @dataclass(frozen=True)
@@ -61,14 +64,15 @@ class SymbolGrid:
         return SymbolGrid(self.dim, self.radius, c * self.values, self.spacing, self.provenance)
 
 
-def _check_compat(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> None:
+def _check_compat(n: int, radius: int, spacing: float, f: SpectralVector, g: SpectralVector):
+    """Check f and g against a symbol on {-radius..radius}^{2n} with grid spacing `spacing`."""
     if f.box != g.box:
         raise ValueError("f and g must share a box")
-    if f.box.dim != m.n:
+    if f.box.dim != n:
         raise ValueError("symbol dimension 2n does not match input dimension n")
-    if f.box.radius > m.radius:
+    if f.box.radius > radius:
         raise ValueError("inputs exceed the symbol band limit")
-    if abs(m.spacing * f.box.period - 1.0) > 1e-9:
+    if abs(spacing * f.box.period - 1.0) > 1e-9:
         raise ValueError("symbol spacing and input period are inconsistent")
 
 
@@ -77,31 +81,74 @@ def _output_box(f: SpectralVector) -> FrequencyBox:
     return FrequencyBox(b.dim, 2 * b.radius, b.oversample, b.period)
 
 
+def _band(radius: int, F: int, axes: int) -> tuple[slice, ...]:
+    """Index of the input band {-F..F} along `axes` axes of a symbol of radius `radius`."""
+    return (slice(radius - F, radius + F + 1),) * axes
+
+
 def _symbol_block(m: SymbolGrid, F: int) -> np.ndarray:
     """Symbol restricted to the input band, reshaped (xi-axes..., eta-axes...)."""
-    sl = slice(m.radius - F, m.radius + F + 1)
-    return m.values[(sl,) * m.dim]
+    return m.values[_band(m.radius, F, m.dim)]
 
 
-def output_spectrum(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> SpectralVector:
+def _accumulate(rows: Iterable[tuple[tuple[int, ...], np.ndarray]], f: SpectralVector,
+                g: SpectralVector) -> SpectralVector:
     """Spectrum u(zeta) = sum_{xi+eta=zeta} m f g of T_m(f, g) on the doubled band.
 
-    Accumulated over anti-diagonals in a fixed order over xi, so the
-    per-zeta summation is deterministic.
+    rows yields (xi, m(xi, .)) for the xi of f's box in row-major order, each
+    row restricted to the input band.  Accumulated over anti-diagonals in that
+    fixed order, so the per-zeta summation is deterministic.  A complex64 row
+    is widened to complex128 inside the product, which is exact.
     """
-    _check_compat(m, f, g)
     F = f.box.radius
     box_out = _output_box(f)
-    block = _symbol_block(m, F)
     u = np.zeros(box_out.lattice_shape, dtype=complex)
     gv = g.values
-    for xi in np.ndindex(*f.box.lattice_shape):
+    for xi, row in rows:
         fval = f.values[xi]
         if fval == 0:
             continue
         target = tuple(slice(i, i + 2 * F + 1) for i in xi)
-        u[target] += fval * block[xi] * gv
+        u[target] += np.multiply(fval, row, dtype=complex) * gv
     return SpectralVector(box_out, u)
+
+
+def output_spectrum(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> SpectralVector:
+    """Spectrum u(zeta) = sum_{xi+eta=zeta} m f g of T_m(f, g) on the doubled band."""
+    _check_compat(m.n, m.radius, m.spacing, f, g)
+    block = _symbol_block(m, f.box.radius)
+    xis = itertools.product(*map(range, f.box.lattice_shape))  # row-major, as np.ndindex
+    return _accumulate(((xi, block[xi]) for xi in xis), f, g)
+
+
+def stream_output_spectrum(
+    rows: Iterable[np.ndarray], n: int, radius: int, spacing: float,
+    f: SpectralVector, g: SpectralVector,
+) -> SpectralVector:
+    """`output_spectrum` of a symbol given as its xi-rows instead of a SymbolGrid.
+
+    rows yields the eta-samples m(xi, .), shaped (2 radius + 1,) * n, for
+    every xi of {-radius..radius}^n in row-major order.  f and g are checked
+    against (n, radius, spacing) before the first row is drawn; every row is
+    drawn, and those outside f's band are skipped.  The result equals, bit
+    for bit, `output_spectrum` on the SymbolGrid of these rows.
+    """
+    _check_compat(n, radius, spacing, f, g)
+    F = f.box.radius
+    band = _band(radius, F, n)
+    box_shape = f.box.lattice_shape
+    # position of each xi of f's box among the symbol's rows
+    at = np.ravel_multi_index(np.indices(box_shape).reshape(n, -1) + radius - F,
+                              (2 * radius + 1,) * n)
+    wanted = dict(zip(at.tolist(), itertools.product(*map(range, box_shape))))
+
+    def band_rows():
+        for k, row in enumerate(rows):
+            xi = wanted.get(k)
+            if xi is not None:
+                yield xi, row[band]
+
+    return _accumulate(band_rows(), f, g)
 
 
 def apply_bilinear(
@@ -115,7 +162,7 @@ def apply_bilinear(
     """
     if mode == "antidiagonal":
         return synthesize(output_spectrum(m, f, g))
-    _check_compat(m, f, g)
+    _check_compat(m.n, m.radius, m.spacing, f, g)
     n = f.box.dim
     F = f.box.radius
     box_out = _output_box(f)

@@ -9,8 +9,10 @@ so CI can gate on acceptance experiments.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import glob as globmod
+import itertools
 import json
 import os
 import struct
@@ -19,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bilinear import SymbolGrid, _input_norms, apply_bilinear
+from .bilinear import SymbolGrid, _input_norms, stream_output_spectrum
 from .bumps import BumpSpec
 from .experiments import (
     EXPERIMENTS,
@@ -30,7 +32,7 @@ from .experiments import (
     run_experiment,
     write_records,
 )
-from .grid import l1_norm, spectral_from_json
+from .grid import l1_norm, spectral_from_json, synthesize
 from .rowcol import CoeffMatrix, decompose, verify_partition
 from .symbols import (
     CounterexampleAConfig,
@@ -48,10 +50,10 @@ _VALUE_TYPE = np.dtype("<c8")
 _CHUNK = 1 << 18  # samples streamed at a time: 2 MiB of complex64
 
 
-def _chunks(count: int):
-    """Consecutive slices of at most _CHUNK samples covering range(count)."""
-    for start in range(0, count, _CHUNK):
-        yield slice(start, min(start + _CHUNK, count))
+def _chunks(count: int, step: int = _CHUNK):
+    """Consecutive slices of at most `step` samples covering range(count)."""
+    for start in range(0, count, step):
+        yield slice(start, min(start + step, count))
 
 
 def write_symbol(path: str, m: SymbolGrid, meta: dict, force: bool = False) -> None:
@@ -84,8 +86,15 @@ def write_symbol(path: str, m: SymbolGrid, meta: dict, force: bool = False) -> N
         fh.write("\n")
 
 
-def read_symbol(path: str) -> SymbolGrid:
-    """Read a symbol file; the complex64 samples are widened to complex128."""
+@contextlib.contextmanager
+def _open_symbol(path: str):
+    """Open a symbol file and check its header and size before any sample is read.
+
+    Yields (dim, radius, spacing, chunks).  `chunks` streams the samples as
+    complex64 arrays of whole xi-rows, shaped (rows,) + (2 radius + 1,) * n
+    for dim = 2n, through one reused buffer of about _CHUNK samples; each
+    chunk is checked finite before it is handed on.
+    """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
         if head[: len(_MAGIC)] != _MAGIC:
@@ -95,6 +104,10 @@ def read_symbol(path: str) -> SymbolGrid:
         version, dim, radius, spacing = _HEADER.unpack_from(head, len(_MAGIC))
         if version != _FMT_VERSION:
             raise ValueError(f"{path}: unsupported format version {version}")
+        if dim % 2 != 0 or dim < 2:
+            raise ValueError(f"{path}: dim {dim} is not a positive even integer")
+        if not spacing > 0:
+            raise ValueError(f"{path}: spacing {spacing} is not positive")
         side = 2 * radius + 1
         size = os.fstat(fh.fileno()).st_size
         # side**dim >= 2**(dim * (bits - 1)): a header no file could hold is
@@ -106,14 +119,33 @@ def read_symbol(path: str) -> SymbolGrid:
                 f"{path}: header promises {side}^{dim} complex64 samples,"
                 f" more than the file's {size} bytes hold"
             )
-        flat = np.empty(count, dtype=complex)
-        buf = np.empty(min(count, _CHUNK), dtype=_VALUE_TYPE)
-        for part in _chunks(count):
-            chunk = buf[: part.stop - part.start]
-            if fh.readinto(chunk) != chunk.nbytes:
-                raise ValueError(f"{path}: data block ends early")
-            flat[part] = chunk
-    return SymbolGrid(dim, radius, flat.reshape((side,) * dim), spacing)
+        row_shape = (side,) * (dim // 2)
+        row_size = side ** (dim // 2)
+
+        def chunks():
+            buf = np.empty(min(count, max(1, _CHUNK // row_size) * row_size), dtype=_VALUE_TYPE)
+            for part in _chunks(count, buf.size):
+                chunk = buf[: part.stop - part.start]
+                if fh.readinto(chunk) != chunk.nbytes:
+                    raise ValueError(f"{path}: data block ends early")
+                parts = chunk.view(np.float32)  # max and min carry any NaN, +inf or -inf
+                if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
+                    raise ValueError(f"{path}: non-finite symbol sample")
+                yield chunk.reshape((-1,) + row_shape)
+
+        yield dim, radius, spacing, chunks()
+
+
+def read_symbol(path: str) -> SymbolGrid:
+    """Read a symbol file; the complex64 samples are widened to complex128."""
+    with _open_symbol(path) as (dim, radius, spacing, chunks):
+        values = np.empty((2 * radius + 1,) * dim, dtype=complex)
+        rows = values.reshape((-1,) + values.shape[dim // 2:])
+        start = 0
+        for chunk in chunks:
+            rows[start : start + len(chunk)] = chunk
+            start += len(chunk)
+    return SymbolGrid(dim, radius, values, spacing)
 
 
 def _require_seed(args) -> int:
@@ -192,14 +224,16 @@ def _cmd_decompose(args) -> int:
 def _cmd_apply(args) -> int:
     if args.out:
         _guard_overwrite(args.out, args.force)
-    m = read_symbol(args.symbol)
-    with open(args.f) as fh:
-        f = spectral_from_json(fh.read())
-    with open(args.g) as fh:
-        g = spectral_from_json(fh.read())
-    norms = _input_norms(f, g)
-    l1 = l1_norm(apply_bilinear(m, f, g))
-    ratio = l1 / norms  # operator_ratio(m, f, g), without evaluating the operator twice
+    with _open_symbol(args.symbol) as (dim, radius, spacing, chunks):
+        with open(args.f) as fh:
+            f = spectral_from_json(fh.read())
+        with open(args.g) as fh:
+            g = spectral_from_json(fh.read())
+        norms = _input_norms(f, g)
+        rows = itertools.chain.from_iterable(chunks)
+        u = stream_output_spectrum(rows, dim // 2, radius, spacing, f, g)
+    l1 = l1_norm(synthesize(u))
+    ratio = l1 / norms  # operator_ratio(read_symbol(path), f, g), streamed
     if args.out:
         payload = {"toolVersion": __version__, "l1Norm": l1, "operatorRatio": ratio}
         with open(args.out, "w") as fh:

@@ -196,6 +196,8 @@ def run_khintchine(config: dict, master_seed: int, threads: int = 1) -> Experime
     """Enumeration-vs-MC agreement, the Gaussian-limit value, and the ratio band."""
     t0 = time.perf_counter()
     sizes = list(config.get("sizes", [1, 2, 3, 5, 8, 12, 16]))
+    if not sizes:
+        raise ValueError("sizes must name at least one size")
     trials = int(config.get("trials", 200_000))
     big_trials = int(config.get("equal_weight_trials", 100_000))
     trials_rows = []
@@ -470,6 +472,8 @@ def boundedness_corpus(
     by the mode's norm.  Returns the per-trial table, the max, and the
     single-bump baseline anchor.
     """
+    if trials < 1:
+        raise ValueError(f"trials must be >= 1, not {trials}")
 
     def one_trial(t: int) -> dict:
         rng = substream(master_seed, t)
@@ -546,6 +550,8 @@ def counting_table(m_list, brute_limit: int = 256) -> list[dict]:
 def run_counting(config: dict, master_seed: int, threads: int = 1) -> ExperimentRecord:
     t0 = time.perf_counter()
     m_list = [int(M) for M in config.get("M", (2, 3, 32, 256, 1024, 4096))]
+    if not m_list:
+        raise ValueError("M must name at least one size")
     rows = counting_table(m_list, brute_limit=int(config.get("brute_limit", 256)))
     all_match = all(row["match"] for row in rows)
     all_brute = all(row.get("bruteMatch", True) for row in rows)

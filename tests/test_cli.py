@@ -115,6 +115,24 @@ def test_growth_rejects_empty_blocks_and_pool(tmp_path, capsys, name, config, na
     assert not out.exists() or os.listdir(out) == []
 
 
+@pytest.mark.parametrize(
+    "name, config, naming",
+    [
+        ("boundedness", {"trials": 0}, "trials must be >= 1"),
+        ("khintchine", {"sizes": []}, "sizes must name at least one size"),
+        ("counting", {"M": []}, "M must name at least one size"),
+    ],
+)
+def test_experiment_rejects_configs_that_check_nothing(tmp_path, capsys, name, config, naming):
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps(config))
+    out = tmp_path / "out"
+    rc = run(["experiment", name, "--config", str(cfgp), "--seed", "1", "--out", str(out)])
+    assert rc == 1
+    assert _one_line_error(capsys, naming)
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_experiment_byte_identical_across_workers(tmp_path):
     blobs = []
     for i, threads in enumerate((1, 4, 8)):
@@ -274,6 +292,66 @@ def test_apply_payload_matches_library_exactly(tmp_path):
     assert payload["l1Norm"] == l1_norm(apply_bilinear(m, f, g))
 
 
+def _symbol_and_inputs(tmp_path, dim, radius, input_radius, zero_f=False):
+    """A random symbol file of radius `radius` and random inputs of radius `input_radius`."""
+    side, n = 2 * radius + 1, dim // 2
+    rng = np.random.default_rng([dim, radius, input_radius])
+    m = SymbolGrid(dim, radius, rng.standard_normal((side,) * dim)
+                   + 1j * rng.standard_normal((side,) * dim), 0.5)
+    sym = str(tmp_path / "s.bin")
+    write_symbol(sym, m, {})
+    box = FrequencyBox(n, input_radius, 2, 2.0)
+    shape = box.lattice_shape
+    vecs = [SpectralVector(box, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+            for _ in "fg"]
+    if zero_f:
+        vecs[0].values[..., ::2] = 0
+    paths = []
+    for name, vec in zip("fg", vecs):
+        paths.append(str(tmp_path / f"{name}.json"))
+        open(paths[-1], "w").write(spectral_to_json(vec))
+    return sym, paths
+
+
+@pytest.mark.parametrize(
+    "dim, radius, input_radius, zero_f",
+    [(2, 20, 7, False), (2, 400, 400, False), (4, 11, 8, False), (2, 20, 20, True)],
+    ids=["inner-band", "over-two-chunks", "dim4", "zero-f-entries"],
+)
+def test_streamed_apply_equals_in_memory_operator(tmp_path, dim, radius, input_radius, zero_f):
+    sym, (fpath, gpath) = _symbol_and_inputs(tmp_path, dim, radius, input_radius, zero_f)
+    side = 2 * radius + 1
+    if radius == 400:  # three chunks of whole rows, the last one partial
+        rows_per_chunk = bimult.cli._CHUNK // side
+        assert 2 * rows_per_chunk < side and side % rows_per_chunk != 0
+    if dim == 4:  # two chunks: the rows of one xi do not tile 2^18 samples
+        assert side**4 > bimult.cli._CHUNK
+    out = str(tmp_path / "apply.json")
+    assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath, "--out", out]) == 0
+    payload = json.loads(open(out).read())
+    m = read_symbol(sym)
+    f = spectral_from_json(open(fpath).read())
+    g = spectral_from_json(open(gpath).read())
+    assert bool(np.any(f.values == 0)) == zero_f
+    assert payload["operatorRatio"] == operator_ratio(m, f, g)
+    assert payload["l1Norm"] == l1_norm(apply_bilinear(m, f, g))
+
+
+@pytest.mark.parametrize(
+    "xi, eta", [((0,), (20,)), ((20,), (0,))], ids=["unused-row", "outside-band-in-row"]
+)
+def test_apply_refuses_non_finite_sample_outside_input_box(tmp_path, capsys, xi, eta):
+    # inputs of radius 7 use only the rows xi in 13..27 and, in them, eta in 13..27
+    sym, (fpath, gpath) = _symbol_and_inputs(tmp_path, 2, 20, 7)
+    offset = 24 + 8 * np.ravel_multi_index(xi + eta, (41, 41))
+    with open(sym, "r+b") as fh:
+        fh.seek(offset)
+        fh.write(struct.pack("<ff", float("nan"), 0.0))
+    capsys.readouterr()
+    assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath]) == 1
+    assert _one_line_error(capsys, naming=sym)
+
+
 def test_apply_zero_norm_input_is_one_line_error(tmp_path, capsys):
     sym, (fpath, gpath) = _apply_inputs(tmp_path, lambda rng, n: np.zeros(n, dtype=complex))
     out = str(tmp_path / "apply.json")
@@ -292,17 +370,21 @@ def test_apply_refuses_before_computing(tmp_path, monkeypatch):
     out = tmp_path / "apply.json"
     out.write_text("kept\n")
     calls = []
-    real = bimult.cli.apply_bilinear
+    for name in ("_open_symbol", "stream_output_spectrum"):  # reading, computing
+        real = getattr(bimult.cli, name)
 
-    def recording(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
+        def recording(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
 
-    monkeypatch.setattr(bimult.cli, "apply_bilinear", recording)
+        monkeypatch.setattr(bimult.cli, name, recording)
     rc = run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath, "--out", str(out)])
     assert rc == 1
     assert calls == []
     assert out.read_text() == "kept\n"
+    assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath, "--out", str(out),
+                "--force"]) == 0
+    assert calls == ["_open_symbol", "stream_output_spectrum"]
 
 
 def _one_line_error(capsys, naming: str = "") -> bool:
@@ -340,8 +422,10 @@ def test_decompose_repeated_key_is_one_line_error(tmp_path, capsys):
         lambda data: data[:-8],  # the data block lacks its last sample
         lambda data: data[:4] + struct.pack("<IIId", 1, 2, 2**31, 0.1) + data[24:],  # radius
         lambda data: data[:4] + struct.pack("<IIId", 1, 2**20, 1, 0.1) + data[24:],  # dim
+        lambda data: data[:4] + struct.pack("<IIId", 1, 1, 840, 0.1) + data[24:],  # 41^2 = 1681
+        lambda data: data[:4] + struct.pack("<IIId", 1, 2, 20, float("nan")) + data[24:],
     ],
-    ids=["short-header", "short-data", "huge-radius", "huge-dim"],
+    ids=["short-header", "short-data", "huge-radius", "huge-dim", "odd-dim", "nan-spacing"],
 )
 def test_apply_bad_symbol_file_is_one_line_error(tmp_path, capsys, corrupt):
     sym, (fpath, gpath) = _apply_inputs(
