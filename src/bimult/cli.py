@@ -210,11 +210,11 @@ def _cmd_gen_symbol(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    _guard_overwrite(args.out, args.force)
     with open(args.infile) as fh:
         f = CoeffMatrix.from_json(fh.read())
     part = decompose(f)
     max_row, max_col = verify_partition(f, part)
-    _guard_overwrite(args.out, args.force)
     with open(args.out, "w") as fh:
         fh.write(part.to_json() + "\n")
     print(f"wrote {args.out}: maxRowSum={max_row:.6g} maxColSum={max_col:.6g}")
@@ -271,10 +271,10 @@ def _cmd_experiment(args) -> int:
     cfg = _experiment_config(args)
     # every record carries its config unchanged, so the output path is known up front
     out_dir = args.out or "."
-    os.makedirs(out_dir, exist_ok=True)
     path = os.path.join(out_dir, f"{args.name}-{config_hash(cfg)}-{seed}.jsonl")
     _guard_overwrite(path, args.force)
     rec = run_experiment(args.name, cfg, seed, threads=args.threads)
+    os.makedirs(out_dir, exist_ok=True)  # only now: a refused config leaves no directory
     write_records(path, [rec], args.force)
     status = "PASS" if rec.summary.get("passed", True) else "FAIL"
     print(f"{args.name}: {status} ({path}, {rec.wall_clock:.2f}s)")
@@ -282,16 +282,31 @@ def _cmd_experiment(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    paths = sorted(p for pattern in args.inputs for p in globmod.glob(pattern))
+    paths = sorted({p for pattern in args.inputs for p in globmod.glob(pattern)})
     records = []
     for path in paths:
         with open(path) as fh:
-            for line in fh:
+            for number, line in enumerate(fh, 1):
                 if line.strip():
-                    records.append(ExperimentRecord.from_json_line(line))
-    os.makedirs(args.out, exist_ok=True)
+                    try:
+                        records.append(ExperimentRecord.from_json_line(line))
+                    except ValueError as exc:
+                        raise ValueError(f"{path}, line {number}: {exc}") from None
+    # two-column plot data per record, using the record's natural x axis
+    axes = {"growth-A": ("K", "measured"), "growth-B": ("N", "measured"),
+            "counting": ("M", "sumSquares"), "levelset": ("lambda", "coeffMeasure"),
+            "khintchine": ("size", "mcRatio"), "boundedness": ("trial", "normalizedRatio")}
+    plots = {}
+    for rec in records:
+        xk, yk = axes.get(rec.experiment_name, (None, None))
+        rows = [r for r in rec.per_trial_results if xk in r and yk in r]
+        if rows:
+            name = f"{rec.experiment_name}-{rec.config_hash}-{rec.master_seed}.dat"
+            plots[os.path.join(args.out, name)] = [f"{r[xk]} {r[yk]}\n" for r in rows]
     csv_path = os.path.join(args.out, "summary.csv")
-    _guard_overwrite(csv_path, args.force)
+    for target in [csv_path, *plots]:  # all checked before any is written: no partial report
+        _guard_overwrite(target, args.force)
+    os.makedirs(args.out, exist_ok=True)
     keys = sorted({k for rec in records for k in rec.summary})
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -301,23 +316,9 @@ def _cmd_report(args) -> int:
                 [rec.experiment_name, rec.config_hash, rec.master_seed]
                 + [rec.summary.get(k, "") for k in keys]
             )
-    # two-column plot data per record, using the record's natural x axis
-    axes = {"growth-A": ("K", "measured"), "growth-B": ("N", "measured"),
-            "counting": ("M", "sumSquares"), "levelset": ("lambda", "coeffMeasure"),
-            "khintchine": ("size", "mcRatio"), "boundedness": ("trial", "normalizedRatio")}
-    for rec in records:
-        if rec.experiment_name not in axes:
-            continue
-        xk, yk = axes[rec.experiment_name]
-        rows = [r for r in rec.per_trial_results if xk in r and yk in r]
-        if not rows:
-            continue
-        name = f"{rec.experiment_name}-{rec.config_hash}-{rec.master_seed}.dat"
-        dat_path = os.path.join(args.out, name)
-        _guard_overwrite(dat_path, args.force)
-        with open(dat_path, "w") as fh:
-            for r in rows:
-                fh.write(f"{r[xk]} {r[yk]}\n")
+    for target, lines in plots.items():
+        with open(target, "w") as fh:
+            fh.writelines(lines)
     print(f"wrote {csv_path} ({len(records)} records)")
     return 0
 

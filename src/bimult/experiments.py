@@ -13,6 +13,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -123,14 +124,12 @@ class ExperimentRecord:
     @classmethod
     def from_json_line(cls, line: str) -> "ExperimentRecord":
         d = json.loads(line)
-        return cls(
-            experiment_name=d["experimentName"],
-            config=d["config"],
-            master_seed=d["masterSeed"],
-            per_trial_results=d["perTrialResults"],
-            summary=d["summary"],
-            wall_clock=0.0,
-        )
+        shape = {"experimentName": str, "config": dict, "masterSeed": int,  # in field order
+                 "perTrialResults": list, "summary": dict}
+        if not (isinstance(d, dict) and all(isinstance(d.get(k), t) for k, t in shape.items())
+                and all(isinstance(row, dict) for row in d["perTrialResults"])):
+            raise ValueError("not an experiment record (keys and types as to_json_line writes)")
+        return cls(*(d[key] for key in shape), wall_clock=0.0)
 
 
 def _guard_overwrite(path, force: bool) -> None:
@@ -144,6 +143,70 @@ def write_records(path, records, force: bool = False) -> None:
     with open(path, "w") as fh:
         for rec in records:
             fh.write(rec.to_json_line() + "\n")
+
+
+# ---------------------------------------------------------------------------
+# experiment registry: each experiment declares its config fields once
+
+
+EXPERIMENTS: dict = {}
+
+
+def _count(key: str, value) -> int:
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        raise ValueError(f"{key} must be >= 1 (an integer), not {value!r}")
+    return value
+
+
+def _finite(key: str, value) -> float:
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if not (number and abs(value) <= sys.float_info.max):  # exact for ints, False for NaN, inf
+        raise ValueError(f"{key} must be a finite number, not {value!r}")
+    return float(value)
+
+
+def _nonempty(item, noun: str):
+    """A check for a non-empty list whose entries each pass `item`; gives a tuple."""
+    def check(key: str, value) -> tuple:
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ValueError(f"{key} must name at least one {noun}, not {value!r}")
+        return tuple(item(f"{key} entry", v) for v in value)
+    return check
+
+
+def _one_of(*choices: str):
+    def check(key: str, value) -> str:
+        if value not in choices:
+            raise ValueError(f"{key} must be one of {', '.join(map(repr, choices))}, not {value!r}")
+        return value
+    return check
+
+
+def _experiment(name: str, **fields):
+    """Register experiment `name` with its config fields, each key=(default as in JSON, check).
+
+    The runner (config, master_seed, threads=1) refuses unknown keys, checks
+    each value, calls body(master_seed, threads, **settings) -> (rows, summary)
+    and records the config as given; check(key, value) gives the setting.
+    """
+
+    def register(body):
+        def run(config: dict, master_seed: int, threads: int = 1) -> ExperimentRecord:
+            t0 = time.perf_counter()
+            for key in config:
+                _one_of(*fields)(f"{name} config key", key)
+            settings = {key: check(key, config[key] if key in config else default)
+                        for key, (default, check) in fields.items()}
+            rows, summary = body(master_seed, threads, **settings)
+            wall = time.perf_counter() - t0
+            return ExperimentRecord(name, config, master_seed, rows, summary, wall)
+
+        run.__name__, run.__doc__ = body.__name__, body.__doc__
+        run.fields = fields
+        EXPERIMENTS[name] = run
+        return run
+
+    return register
 
 
 # ---------------------------------------------------------------------------
@@ -192,14 +255,12 @@ def khintchine_mc(a, trials: int, seed: int, threads: int = 1) -> tuple[float, f
     return mean_abs, mean_abs / norm
 
 
-def run_khintchine(config: dict, master_seed: int, threads: int = 1) -> ExperimentRecord:
+@_experiment(
+    "khintchine", sizes=([1, 2, 3, 5, 8, 12, 16], _nonempty(_count, "size")),
+    trials=(200_000, _count), equal_weight_trials=(100_000, _count),
+)
+def run_khintchine(master_seed, threads, *, sizes, trials, equal_weight_trials):
     """Enumeration-vs-MC agreement, the Gaussian-limit value, and the ratio band."""
-    t0 = time.perf_counter()
-    sizes = list(config.get("sizes", [1, 2, 3, 5, 8, 12, 16]))
-    if not sizes:
-        raise ValueError("sizes must name at least one size")
-    trials = int(config.get("trials", 200_000))
-    big_trials = int(config.get("equal_weight_trials", 100_000))
     trials_rows = []
     for t, L in enumerate(sizes):
         rng = substream(master_seed, t)
@@ -215,7 +276,7 @@ def run_khintchine(config: dict, master_seed: int, threads: int = 1) -> Experime
             }
         )
     eq = np.full(64, 1.0)
-    _, eq_ratio = khintchine_mc(eq, big_trials, master_seed + 77, threads)
+    _, eq_ratio = khintchine_mc(eq, equal_weight_trials, master_seed + 77, threads)
     gauss = float(np.sqrt(2.0 / np.pi))
     ratios = [row["exactRatio"] for row in trials_rows] + [
         row["mcRatio"] for row in trials_rows
@@ -227,16 +288,12 @@ def run_khintchine(config: dict, master_seed: int, threads: int = 1) -> Experime
         "equalWeightVsGaussian": abs(eq_ratio - gauss),
         "ratioMin": min(ratios),
         "ratioMax": max(ratios),
-        "passed": bool(
-            max(row["absDiff"] for row in trials_rows) < 0.01
-            and abs(eq_ratio - gauss) < 0.01
-            and min(ratios) >= lo_band
-            and max(ratios) <= 1.0 + 1e-12
-        ),
     }
-    return ExperimentRecord(
-        "khintchine", config, master_seed, trials_rows, summary, time.perf_counter() - t0
+    summary["passed"] = bool(
+        summary["maxEnumVsMc"] < 0.01 and summary["equalWeightVsGaussian"] < 0.01
+        and summary["ratioMin"] >= lo_band and summary["ratioMax"] <= 1.0 + 1e-12
     )
+    return trials_rows, summary
 
 
 # ---------------------------------------------------------------------------
@@ -322,15 +379,12 @@ def growth_experiment_A(
     return rows
 
 
-def run_growth_A(config: dict, master_seed: int, threads: int = 1) -> ExperimentRecord:
-    t0 = time.perf_counter()
-    cfg = CounterexampleAConfig(
-        block_b=tuple(config.get("block_b", (4, 16, 64))),
-        dstar_exponent=float(config.get("dstar_exponent", 0.125)),
-        master_seed=master_seed,
-        resolution=int(config.get("resolution", 20)),
-    )
-    pool = int(config.get("pool", 32))
+@_experiment(
+    "growth-A", block_b=([4, 16, 64], _nonempty(_count, "block")),
+    dstar_exponent=(0.125, _finite), resolution=(20, _count), pool=(32, _count),
+)
+def run_growth_A(master_seed, threads, *, block_b, dstar_exponent, resolution, pool):
+    cfg = CounterexampleAConfig(block_b, dstar_exponent, master_seed, resolution)
     rows = growth_experiment_A(cfg, pool, threads)
     summary = _growth_summary(rows, pool)
     measured = [row["measured"] for row in rows]
@@ -338,9 +392,7 @@ def run_growth_A(config: dict, master_seed: int, threads: int = 1) -> Experiment
     summary["passed"] = (
         summary["strictlyIncreasing"] if cfg.dstar_exponent < 0.25 else summary["spread"] <= 1.5
     )
-    return ExperimentRecord(
-        "growth-A", config, master_seed, rows, summary, time.perf_counter() - t0
-    )
+    return rows, summary
 
 
 def growth_experiment_B(
@@ -361,24 +413,21 @@ def growth_experiment_B(
     return rows
 
 
-def run_growth_B(config: dict, master_seed: int, threads: int = 1) -> ExperimentRecord:
-    t0 = time.perf_counter()
-    cfg = CounterexampleBConfig(
-        mode=config.get("mode", "desk"),
-        Ns=tuple(config.get("N", (1, 2, 3))),
-        master_seed=master_seed,
-        resolution=int(config.get("resolution", 20)),
-    )
-    pool = int(config.get("pool", 32))
+@_experiment(
+    "growth-B", mode=("desk", _one_of("paper", "desk")),
+    N=([1, 2, 3], _nonempty(_count, "block")), resolution=(20, _count), pool=(32, _count),
+    band_lo=(0.5, _finite), band_hi=(2.0, _finite),
+)
+def run_growth_B(master_seed, threads, *, mode, N, resolution, pool, band_lo, band_hi):
+    if band_lo >= band_hi:
+        raise ValueError(f"band_lo {band_lo} must be below band_hi {band_hi}")
+    cfg = CounterexampleBConfig(mode, N, master_seed, resolution)
     rows = growth_experiment_B(cfg, pool, threads)
-    band = (float(config.get("band_lo", 0.5)), float(config.get("band_hi", 2.0)))
-    in_band = all(band[0] <= row["measuredOverPredicted"] <= band[1] for row in rows)
+    in_band = all(band_lo <= row["measuredOverPredicted"] <= band_hi for row in rows)
     summary = _growth_summary(rows, pool)
-    summary.update(bandLo=band[0], bandHi=band[1], inBand=in_band)
+    summary.update(bandLo=band_lo, bandHi=band_hi, inBand=in_band)
     summary["passed"] = summary["strictlyIncreasing"] and in_band
-    return ExperimentRecord(
-        "growth-B", config, master_seed, rows, summary, time.perf_counter() - t0
-    )
+    return rows, summary
 
 
 # ---------------------------------------------------------------------------
@@ -387,7 +436,9 @@ def run_growth_B(config: dict, master_seed: int, threads: int = 1) -> Experiment
 
 _CORPUS_PSI = BumpSpec(radius=0.1, plateau=0.05)
 _CORPUS_PHI = BumpSpec(radius=0.2, plateau=0.1)
+_CORPUS_LATTICE_RADIUS = 4  # coefficient indices drawn from [-4, 4]^2
 _CORPUS_INPUT_RADIUS = 16  # input lattice radius, capped at the symbol's
+_CORPUS_BASELINE_FACTOR = 3.0  # pass: max normalized ratio <= 3 x the single-bump baseline
 
 
 def _random_inputs(box: FrequencyBox, rng: np.random.Generator) -> SpectralVector:
@@ -403,9 +454,9 @@ def _aligned_inputs(box: FrequencyBox, resolution: int) -> SpectralVector:
     return SpectralVector(box, _bump_train(_CORPUS_PHI, F, resolution, centers))
 
 
-def _corpus_symbol(f_mode: str, rng, lattice_radius: int, resolution: int):
+def _corpus_symbol(f_mode: str, rng, resolution: int):
     """(symbol, normalizer) pair for one corpus draw of the given mode."""
-    M = lattice_radius
+    M = _CORPUS_LATTICE_RADIUS
     if f_mode in ("lattice", "besov"):
         keep = rng.random((2 * M + 1, 2 * M + 1)) < 0.3
         vals = rng.standard_normal(keep.shape) + 1j * rng.standard_normal(keep.shape)
@@ -440,7 +491,7 @@ def _corpus_symbol(f_mode: str, rng, lattice_radius: int, resolution: int):
     raise ValueError(f"unknown fMode {f_mode!r}")
 
 
-def _single_bump_baseline(f_mode: str, lattice_radius: int, resolution: int) -> float:
+def _single_bump_baseline(f_mode: str, resolution: int) -> float:
     """Normalized ratio of the one-coefficient symbol against the delta inputs."""
     c = CoeffMatrix({(0, 0): 1.0 + 0.0j})
     m = lattice_symbol(c, _CORPUS_PSI, resolution)
@@ -461,7 +512,6 @@ def boundedness_corpus(
     f_mode: str,
     trials: int,
     master_seed: int,
-    lattice_radius: int = 4,
     resolution: int = 10,
     threads: int = 1,
 ) -> dict:
@@ -477,7 +527,7 @@ def boundedness_corpus(
 
     def one_trial(t: int) -> dict:
         rng = substream(master_seed, t)
-        m, norm = _corpus_symbol(f_mode, rng, lattice_radius, resolution)
+        m, norm = _corpus_symbol(f_mode, rng, resolution)
         box = FrequencyBox(1, min(_CORPUS_INPUT_RADIUS, m.radius), 2, 1.0 / m.spacing)
         aligned = _aligned_inputs(box, resolution)
         candidates = [(_random_inputs(box, rng), _random_inputs(box, rng)), (aligned, aligned)]
@@ -485,7 +535,7 @@ def boundedness_corpus(
         return {"trial": t, "normalizedRatio": best}
 
     rows = _map_ordered(one_trial, range(trials), threads)
-    baseline = _single_bump_baseline(f_mode, lattice_radius, resolution)
+    baseline = _single_bump_baseline(f_mode, resolution)
     return {
         "fMode": f_mode,
         "baseline": baseline,
@@ -494,19 +544,13 @@ def boundedness_corpus(
     }
 
 
-def run_boundedness(config: dict, master_seed: int, threads: int = 1) -> ExperimentRecord:
-    t0 = time.perf_counter()
-    f_mode = config.get("f_mode", "lattice")
-    trials = int(config.get("trials", 100))
-    res = boundedness_corpus(
-        f_mode,
-        trials,
-        master_seed,
-        lattice_radius=int(config.get("lattice_radius", 4)),
-        resolution=int(config.get("resolution", 10)),
-        threads=threads,
-    )
-    factor = float(config.get("baseline_factor", 3.0))
+@_experiment(
+    "boundedness", f_mode=("lattice", _one_of("lattice", "besov", "fourier_compact")),
+    trials=(100, _count), resolution=(10, _count),
+)
+def run_boundedness(master_seed, threads, *, f_mode, trials, resolution):
+    res = boundedness_corpus(f_mode, trials, master_seed, resolution=resolution, threads=threads)
+    factor = _CORPUS_BASELINE_FACTOR
     summary = {
         "fMode": f_mode,
         "baseline": res["baseline"],
@@ -514,9 +558,7 @@ def run_boundedness(config: dict, master_seed: int, threads: int = 1) -> Experim
         "bound": factor * res["baseline"],
         "passed": bool(res["maxNormalizedRatio"] <= factor * res["baseline"]),
     }
-    return ExperimentRecord(
-        "boundedness", config, master_seed, res["trials"], summary, time.perf_counter() - t0
-    )
+    return res["trials"], summary
 
 
 # ---------------------------------------------------------------------------
@@ -547,18 +589,13 @@ def counting_table(m_list, brute_limit: int = 256) -> list[dict]:
     return rows
 
 
-def run_counting(config: dict, master_seed: int, threads: int = 1) -> ExperimentRecord:
-    t0 = time.perf_counter()
-    m_list = [int(M) for M in config.get("M", (2, 3, 32, 256, 1024, 4096))]
-    if not m_list:
-        raise ValueError("M must name at least one size")
-    rows = counting_table(m_list, brute_limit=int(config.get("brute_limit", 256)))
+@_experiment("counting", M=([2, 3, 32, 256, 1024, 4096], _nonempty(_count, "size")))
+def run_counting(master_seed, threads, *, M):
+    rows = counting_table(M)
     all_match = all(row["match"] for row in rows)
     all_brute = all(row.get("bruteMatch", True) for row in rows)
     summary = {"allMatch": all_match, "allBruteMatch": all_brute, "passed": all_match and all_brute}
-    return ExperimentRecord(
-        "counting", config, master_seed, rows, summary, time.perf_counter() - t0
-    )
+    return rows, summary
 
 
 _LEVELSET_GRID_BLOCKS = (2,)  # blocks whose coefficient count is checked on a grid
@@ -605,20 +642,15 @@ def levelset_profile(
     return rows
 
 
-def run_levelset(config: dict, master_seed: int, threads: int = 1) -> ExperimentRecord:
-    t0 = time.perf_counter()
-    cfg = CounterexampleBConfig(
-        mode=config.get("mode", "paper"),
-        Ns=tuple(config.get("N", (2, 4))),
-        master_seed=master_seed,
-        resolution=int(config.get("resolution", 20)),
-    )
-    alphas = tuple(float(a) for a in config.get("alphas", (1.0, 2.0)))
+@_experiment(
+    "levelset", mode=("paper", _one_of("paper", "desk")), N=([2, 4], _nonempty(_count, "block")),
+    resolution=(20, _count), alphas=([1.0, 2.0], _nonempty(_finite, "exponent")),
+)
+def run_levelset(master_seed, threads, *, mode, N, resolution, alphas):
+    cfg = CounterexampleBConfig(mode, N, master_seed, resolution)
     rows = levelset_profile(cfg, alphas=alphas)
     dual_errs = [row["dualPathRelErr"] for row in rows if "dualPathRelErr" in row]
-    consts = [
-        row[f"impliedConstAlpha{a:g}"] for row in rows for a in alphas
-    ]
+    consts = [row[f"impliedConstAlpha{a:g}"] for row in rows for a in alphas]
     finite = bool(np.all(np.isfinite(consts)))
     summary = {
         "maxDualPathRelErr": max(dual_errs) if dual_errs else None,
@@ -626,19 +658,7 @@ def run_levelset(config: dict, master_seed: int, threads: int = 1) -> Experiment
         "allFinite": finite,
         "passed": (not dual_errs or max(dual_errs) <= 0.02) and finite,
     }
-    return ExperimentRecord(
-        "levelset", config, master_seed, rows, summary, time.perf_counter() - t0
-    )
-
-
-EXPERIMENTS = {
-    "khintchine": run_khintchine,
-    "growth-A": run_growth_A,
-    "growth-B": run_growth_B,
-    "boundedness": run_boundedness,
-    "counting": run_counting,
-    "levelset": run_levelset,
-}
+    return rows, summary
 
 
 def run_experiment(

@@ -112,25 +112,34 @@ def test_growth_rejects_empty_blocks_and_pool(tmp_path, capsys, name, config, na
     rc = run(["experiment", name, "--config", str(cfgp), "--seed", "1", "--out", str(out)])
     assert rc == 1
     assert _one_line_error(capsys, naming)
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(
-    "name, config, naming",
+    "command, config, naming",
     [
         ("boundedness", {"trials": 0}, "trials must be >= 1"),
         ("khintchine", {"sizes": []}, "sizes must name at least one size"),
         ("counting", {"M": []}, "M must name at least one size"),
+        ("growth-B", {"pol": 5}, "not 'pol'"),
+        ("growth-B", {"band_lo": 5}, "band_lo 5.0 must be below band_hi 2.0"),
+        ("khintchine", {"sizes": "x"}, "sizes must name at least one size"),
+        ("khintchine", {"sizes": [1.5]}, "sizes entry must be >= 1"),
+        ("growth-B", {"pool": True}, "pool must be >= 1"),
+        ("growth-A", {"dstar_exponent": float("nan")}, "dstar_exponent must be a finite number"),
+        ("growth-B", {"band_hi": 10**400}, "band_hi must be a finite number"),
+        ("levelset", {"alphas": [float("inf")]}, "alphas entry must be a finite number"),
+        ("khintchine --resolution 7", {}, "not 'resolution'"),
     ],
 )
-def test_experiment_rejects_configs_that_check_nothing(tmp_path, capsys, name, config, naming):
+def test_experiment_rejects_configs_that_check_nothing(tmp_path, capsys, command, config, naming):
     cfgp = tmp_path / "cfg.json"
     cfgp.write_text(json.dumps(config))
     out = tmp_path / "out"
-    rc = run(["experiment", name, "--config", str(cfgp), "--seed", "1", "--out", str(out)])
-    assert rc == 1
+    argv = ["experiment", *command.split(), "--config", str(cfgp), "--seed", "1", "--out", str(out)]
+    assert run(argv) == 1
     assert _one_line_error(capsys, naming)
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 def test_experiment_byte_identical_across_workers(tmp_path):
@@ -162,6 +171,39 @@ def test_report_merges_records(tmp_path):
     for dat in dats:
         for line in open(rep / dat):
             assert len(line.split()) == 2
+
+
+def test_report_refuses_before_writing_anything(tmp_path, capsys):
+    run(["experiment", "counting", "--M", "2,3", "--seed", "1", "--out", str(tmp_path)])
+    rep = tmp_path / "rep"
+    rep.mkdir()
+    dat = rep / f"counting-{config_hash({'M': [2, 3]})}-1.dat"
+    dat.write_text("kept\n")
+    assert run(["report", str(tmp_path / "*.jsonl"), "--out", str(rep)]) == 1
+    assert _one_line_error(capsys, "refusing to overwrite")
+    assert os.listdir(rep) == [dat.name] and dat.read_text() == "kept\n"
+    assert run(["report", str(tmp_path / "*.jsonl"), "--out", str(rep), "--force"]) == 0
+    assert sorted(os.listdir(rep)) == [dat.name, "summary.csv"]
+    assert dat.read_text() == "2 6\n3 19\n"
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["[1]", "{}", "not json",
+     '{"experimentName": "counting", "config": {}, "masterSeed": 1, "perTrialResults": [],'
+     ' "summary": [1]}',
+     '{"experimentName": "counting", "config": {}, "masterSeed": 1, "perTrialResults": [1],'
+     ' "summary": {}}'],
+    ids=["list", "empty", "not-json", "summary-list", "row-int"],
+)
+def test_report_malformed_record_is_one_line_error(tmp_path, capsys, line):
+    run(["experiment", "counting", "--M", "2,3", "--seed", "1", "--out", str(tmp_path)])
+    (path,) = tmp_path.glob("*.jsonl")
+    path.write_text(path.read_text() + line + "\n")
+    rep = tmp_path / "rep"
+    assert run(["report", str(path), "--out", str(rep)]) == 1
+    assert _one_line_error(capsys, f"{path}, line 2: ")
+    assert not rep.exists()
 
 
 def test_report_empty_glob(tmp_path):
@@ -387,6 +429,25 @@ def test_apply_refuses_before_computing(tmp_path, monkeypatch):
     assert calls == ["_open_symbol", "stream_output_spectrum"]
 
 
+def test_decompose_refuses_before_computing(tmp_path, monkeypatch, matrix_file):
+    out = tmp_path / "part.json"
+    out.write_text("kept\n")
+    calls = []
+    for name in ("decompose", "verify_partition"):
+        real = getattr(bimult.cli, name)
+
+        def recording(*args, _real=real, _name=name, **kwargs):
+            calls.append(_name)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(bimult.cli, name, recording)
+    assert run(["decompose", "--in", matrix_file, "--out", str(out)]) == 1
+    assert calls == []
+    assert out.read_text() == "kept\n"
+    assert run(["decompose", "--in", matrix_file, "--out", str(out), "--force"]) == 0
+    assert calls == ["decompose", "verify_partition"]
+
+
 def _one_line_error(capsys, naming: str = "") -> bool:
     err = capsys.readouterr().err
     return (
@@ -505,7 +566,7 @@ def test_experiment_non_object_config_is_one_line_error(tmp_path, capsys):
     argv = ["experiment", "khintchine", "--config", str(config), "--seed", "1", "--out", str(out)]
     assert run(argv) == 1
     assert _one_line_error(capsys, naming="JSON object")
-    assert not out.exists() or os.listdir(out) == []
+    assert not out.exists()
 
 
 @pytest.mark.parametrize(

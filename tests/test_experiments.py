@@ -1,13 +1,16 @@
 """Experiment harness: determinism, Khintchine oracles, tables, records."""
 
+import itertools
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import bimult.experiments
 from bimult.experiments import (
+    EXPERIMENTS,
     ExperimentRecord,
     boundedness_corpus,
     canonical_json,
@@ -24,6 +27,7 @@ from bimult.experiments import _sign_pool_ratios, growth_experiment_B, levelset_
 from bimult.symbols import CounterexampleAConfig, CounterexampleBConfig
 
 MASTER_SEED = 20260824  # the acceptance gate's seed
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_khintchine_singleton_ratio_one():
@@ -178,3 +182,18 @@ def test_experiment_rerun_byte_identical():
 def test_unknown_experiment_rejected():
     with pytest.raises(KeyError):
         run_experiment("bogus", {}, 0)
+
+
+def test_readme_lists_the_declared_config_fields():
+    lines = README.read_text().splitlines()
+    table = lines[lines.index("| experiment | key | type | default |") + 2 :]
+    listed = {}
+    for line in itertools.takewhile(lambda text: text.startswith("|"), table):
+        name, key, _, default = (cell.strip().strip("`") for cell in line.strip("|").split("|"))
+        listed[name, key] = default
+    declared = {}
+    for name, runner in EXPERIMENTS.items():
+        for key, (default, check) in runner.fields.items():
+            check(key, default)  # every default passes its own check
+            declared[name, key] = json.dumps(default)
+    assert listed == declared
