@@ -13,15 +13,14 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bilinear import SymbolGrid, operator_ratio, output_spectrum
-from .grid import FrequencyBox, SpectralVector, l1_norm, l2_norm, synthesize
+from .bilinear import SymbolGrid, operator_ratio
+from .grid import FrequencyBox, SpectralVector, _is_finite_number, l2_norm
 from .lorentz import weak_quasinorm
 from .rowcol import CoeffMatrix
 from .symbols import (
@@ -159,8 +158,7 @@ def _count(key: str, value) -> int:
 
 
 def _finite(key: str, value) -> float:
-    number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if not (number and abs(value) <= sys.float_info.max):  # exact for ints, False for NaN, inf
+    if not _is_finite_number(value):
         raise ValueError(f"{key} must be a finite number, not {value!r}")
     return float(value)
 
@@ -300,6 +298,9 @@ def run_khintchine(master_seed, threads, *, sizes, trials, equal_weight_trials):
 # growth experiments
 
 
+_POOL_BLOCK = 16  # sign draws synthesized per inverse FFT; fixed, so threads never change a bit
+
+
 def _sign_pool_ratios(
     cfg: CounterexampleAConfig | CounterexampleBConfig,
     key: int,
@@ -312,32 +313,44 @@ def _sign_pool_ratios(
 
     Draw d puts the signs of SignAssignment(cfg.block_seed(key, d)) on the
     anti-diagonals l = j + k of cfg.interval(key), as the block builder does.
-    The block with every sign +1, centered at `center` (None: cfg.center(key)),
-    is built once and so is its output spectrum U; a draw is the sign mask
-    eps_{l(zeta)} on U plus one synthesis.  That equals rebuilding the signed
-    symbol bit for bit on every nonzero value: bumps of radius <= 1/10 confine
-    the output of cell (j, k) to within 0.2 of l = j + k (in lattice units
-    before any dilation), so the windows of distinct l are disjoint, and IEEE
-    negation is exact.
+    The all-plus block's output spectrum U, centered at `center` (None:
+    cfg.center(key)), comes once from `block_output_spectrum`, which sums each
+    zeta in ascending xi as `output_spectrum` does (its bincount adds in input
+    order, and the grid's zero samples would add only +-0), so no symbol grid
+    is built.  A draw is the sign mask eps_{l(zeta)} on U plus one synthesis.
+    That equals rebuilding the signed symbol bit for bit on every nonzero
+    value: bumps of radius <= 1/10 confine the output of cell (j, k) to within
+    0.2 of l = j + k (in lattice units before any dilation), so the windows of
+    distinct l are disjoint, and IEEE negation is exact.
+
+    The draws go in blocks of _POOL_BLOCK, one zero-padded inverse FFT along
+    the last axis per block; row d is `l1_norm(synthesize(u_d))` operation for
+    operation.
     """
     center = cfg.center(key) if center is None else center
     I = cfg.interval(key)
     r = cfg.resolution
-    U = output_spectrum(cfg.block_symbol(key, None, center), f, f)
+    U = cfg.block_output_spectrum(key, f, f, center)
+    box = U.box
+    P = box.n_phys
     lo, n_diag = 2 * I.start, 2 * len(I) - 1
     # lattice index zeta lies within 0.2 r of r (l - 2 center) for the l feeding it;
     # zeta outside every window has U(zeta) = 0, so its clipped sign is immaterial
-    diag = (U.box.frequencies() + r // 2) // r + 2 * center - lo
+    diag = (box.frequencies() + r // 2) // r + 2 * center - lo
     diag = np.clip(diag, 0, n_diag - 1)
     nf = l2_norm(f)
 
-    def ratio_for(draw: int) -> float:
-        eps = _antidiagonal_signs(I, cfg.block_seed(key, draw))
-        mask = np.fromiter(eps.values(), dtype=float, count=n_diag)[diag]
-        u = SpectralVector(U.box, mask * U.values)
-        return l1_norm(synthesize(u)) / (nf * nf)
+    def ratios_for(first: int) -> list[float]:
+        draws = range(first, min(first + _POOL_BLOCK, pool))
+        signs = np.array([list(_antidiagonal_signs(I, cfg.block_seed(key, d)).values())
+                          for d in draws], dtype=float)
+        padded = np.zeros((len(draws), P), dtype=complex)
+        padded[:, box.frequencies() % P] = signs[:, diag] * U.values
+        samples = np.fft.ifft(padded, axis=-1) * P
+        return (np.abs(samples).sum(axis=-1) * box.cell_measure / (nf * nf)).tolist()
 
-    return _map_ordered(ratio_for, range(pool), threads)
+    blocks = _map_ordered(ratios_for, range(0, pool, _POOL_BLOCK), threads)
+    return [ratio for block in blocks for ratio in block]
 
 
 def _growth_rows(

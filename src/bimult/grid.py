@@ -14,6 +14,7 @@ data: distinct lattice points stay distinct mod P.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -173,8 +174,10 @@ def spectral_to_json(spec: SpectralVector) -> str:
     return json.dumps(payload)
 
 
-def _is_number(x) -> bool:
-    return type(x) in (int, float)  # a JSON true or false is not a number
+def _is_finite_number(x) -> bool:
+    """An int or float, not a bool, of magnitude at most the largest float.  Ints are
+    compared exactly, so 10**400 fails as NaN and +-Infinity do."""
+    return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
 def spectral_from_json(text: str) -> SpectralVector:
@@ -184,11 +187,11 @@ def spectral_from_json(text: str) -> SpectralVector:
     if not (
         isinstance(b, dict)
         and all(type(b.get(k)) is int for k in ("dim", "radius", "oversample"))
-        and _is_number(b.get("period"))
+        and _is_finite_number(b.get("period"))
     ):
         raise ValueError(
             "spectral JSON must be an object whose 'box' holds integer dim, radius,"
-            " oversample and a numeric period"
+            " oversample and a finite numeric period"
         )
     box = FrequencyBox(b["dim"], b["radius"], b["oversample"], b["period"])
     values = payload.get("values")
@@ -198,8 +201,9 @@ def spectral_from_json(text: str) -> SpectralVector:
         # n >= 3 > 2: a dim above the bit length cannot match, and n^dim is never taken for it
         and dim <= len(values).bit_length()
         and len(values) == n**dim
-        and all(isinstance(v, list) and len(v) == 2 and all(map(_is_number, v)) for v in values)
+        and all(isinstance(v, list) and len(v) == 2 and all(map(_is_finite_number, v))
+                for v in values)
     ):
-        raise ValueError(f"spectral JSON 'values' must be {n}^{dim} [re, im] number pairs")
+        raise ValueError(f"spectral JSON 'values' must be {n}^{dim} [re, im] finite number pairs")
     flat = np.array([complex(re, im) for re, im in values])
     return SpectralVector(box, flat.reshape(box.lattice_shape))

@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .grid import _is_finite_number
 from .lorentz import MeasuredValues, weak_quasinorm
 
 __all__ = [
@@ -30,12 +31,12 @@ S2 = "S2"
 
 
 def _is_coeff_row(row) -> bool:
-    """[k, l, re, im]: integer k, l and numeric re, im (a JSON true or false is neither)."""
+    """[k, l, re, im]: integer k, l and finite numeric re, im (a JSON true or false is neither)."""
     return (
         isinstance(row, list)
         and len(row) == 4
         and all(type(x) is int for x in row[:2])
-        and all(type(x) in (int, float) for x in row[2:])
+        and all(map(_is_finite_number, row[2:]))
     )
 
 
@@ -71,7 +72,9 @@ class CoeffMatrix:
     def from_json(cls, text: str) -> "CoeffMatrix":
         rows = json.loads(text)
         if not isinstance(rows, list) or not all(map(_is_coeff_row, rows)):
-            raise ValueError("coefficient JSON must be a list of [int, int, number, number] rows")
+            raise ValueError(
+                "coefficient JSON must be a list of [int, int, finite number, finite number] rows"
+            )
         entries = {(k, l): complex(re, im) for k, l, re, im in rows}
         if len(entries) != len(rows):
             raise ValueError("coefficient JSON repeats a (k, l) key")

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bilinear import SymbolGrid
+from .bilinear import SymbolGrid, _check_compat, _output_box
 from .bumps import BumpSpec, smooth_step
 from .grid import FrequencyBox, SpectralVector, l2_norm
 from .lorentz import MeasuredValues, weak_quasinorm
@@ -294,6 +294,44 @@ class _BlockFamily:
         values = _stamp(self.block_entries(key, seed, center), self.psi, r, F)
         spacing = 2.0 ** -self.dilation(key) / r
         return SymbolGrid(2, F, values, spacing, self.provenance(key, seed, center))
+
+    def block_output_spectrum(
+        self, key: int, f: SpectralVector, g: SpectralVector, center: int | None = None
+    ) -> SpectralVector:
+        """`output_spectrum(block_symbol(key, None, center), f, g)` bit for bit, from the
+        block's entries alone: no symbol grid is built.
+
+        In f's band indices, the bump of entry (j, k) puts 0 + v_jk * Psi[a, b],
+        as `_stamp` writes it, at row R = F_in + r (j - center) - w + a and at the
+        column C likewise made from (k, b).  Each term f[R] m g[C] is summed into
+        zeta = R + C by bincount, on the real and the imaginary parts, in
+        (j, a, k, b) order.  bincount adds in input order, and disjoint bumps make
+        R ascend in that order, so every zeta sums its terms in ascending xi, as
+        `output_spectrum` does.  The grid's zero samples add only +-0 there,
+        which changes no sum.
+        """
+        center, F = self._layout(key, center)
+        r = self.resolution
+        _check_compat(1, F, 2.0 ** -self.dilation(key) / r, f, g)
+        I = self.interval(key)
+        patch = _bump_patch(self.psi, r)
+        w = patch.shape[0] // 2
+        v = np.array(list(self.block_entries(key, None, center).values()))  # j-major over I x I
+        m = 0.0 + v.reshape(len(I), 1, len(I), 1) * patch[:, None, :]  # m[j, a, k, b]
+        m = m.reshape(len(I) * (2 * w + 1), -1)
+        Fin = f.box.radius
+        # R (and C) of every (j, a), j-major; rows and columns outside f's band drop out
+        R = ((Fin + r * (np.arange(I.start, I.stop) - center) - w)[:, None]
+             + np.arange(2 * w + 1)).ravel()
+        band = (R >= 0) & (R <= 2 * Fin)
+        R, m = R[band], m[band][:, band]
+        terms = np.multiply(f.values[R][:, None], m, dtype=complex) * g.values[R]
+        zeta = (R[:, None] + R).ravel()
+        box = _output_box(f)
+        u = np.zeros(box.lattice_shape, dtype=complex)
+        u.real, u.imag = (np.bincount(zeta, part.ravel(), box.n_lattice)
+                          for part in (terms.real, terms.imag))
+        return SpectralVector(box, u)
 
     def test_function(self, key: int, center: int | None = None) -> SpectralVector:
         """One phi_hat bump per block index, on the torus of period r * 2^dilation."""

@@ -501,7 +501,18 @@ def test_apply_bad_symbol_file_is_one_line_error(tmp_path, capsys, corrupt):
     assert _one_line_error(capsys, naming=sym)
 
 
-@pytest.mark.parametrize("rows", ["[1, 2]", '[[0, 0, "x", 0]]', "[[0, 0, true, 0]]", "{}"])
+_HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+
+
+@pytest.mark.parametrize(
+    "rows",
+    ["[1, 2]", '[[0, 0, "x", 0]]', "[[0, 0, true, 0]]", "{}",
+     pytest.param(f"[[0, 0, {_HUGE}, 0]]", id="huge-re"),
+     pytest.param(f"[[0, 0, 1.0, -{_HUGE}]]", id="huge-im"),
+     pytest.param("[[0, 0, NaN, 0]]", id="nan"),
+     pytest.param("[[0, 0, 1.0, Infinity]]", id="inf"),
+     pytest.param("[[0, 0, -Infinity, 0]]", id="minus-inf")],
+)
 @pytest.mark.parametrize("command", ["decompose", "gen-symbol"])
 def test_malformed_coeff_rows_are_one_line_errors(tmp_path, capsys, command, rows):
     infile = tmp_path / "matrix.json"
@@ -513,7 +524,7 @@ def test_malformed_coeff_rows_are_one_line_errors(tmp_path, capsys, command, row
                        "--seed", "1", "--out", str(out)],
     }[command]
     assert run(argv) == 1
-    assert _one_line_error(capsys)
+    assert _one_line_error(capsys, naming="coefficient JSON")
     assert not out.exists()
 
 
@@ -582,9 +593,15 @@ def test_experiment_non_object_config_is_one_line_error(tmp_path, capsys):
         {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
          "values": [[1, 0], 2, [0, 0]]},
         {"box": {"dim": 10**9, "radius": 1, "oversample": 2, "period": 10.0}, "values": []},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10**400},
+         "values": [[1, 0], [0, 0], [0, 0]]},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
+         "values": [[1, 0], [0, -(10**400)], [0, 0]]},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
+         "values": [[1, 0], [float("nan"), 0], [0, 0]]},
     ],
     ids=["list", "box-list", "no-period", "no-values", "short-values", "string-value",
-         "bare-value", "huge-dim"],
+         "bare-value", "huge-dim", "huge-period", "huge-value", "nan-value"],
 )
 def test_apply_malformed_spectral_json_is_one_line_error(tmp_path, capsys, payload):
     sym, (fpath, gpath) = _apply_inputs(

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import bimult.experiments
+import bimult.symbols
 from bimult.experiments import (
     EXPERIMENTS,
     ExperimentRecord,
@@ -23,7 +24,12 @@ from bimult.experiments import (
     write_records,
 )
 from bimult.bilinear import operator_ratio
-from bimult.experiments import _sign_pool_ratios, growth_experiment_B, levelset_profile
+from bimult.experiments import (
+    _POOL_BLOCK,
+    _sign_pool_ratios,
+    growth_experiment_B,
+    levelset_profile,
+)
 from bimult.symbols import CounterexampleAConfig, CounterexampleBConfig
 
 MASTER_SEED = 20260824  # the acceptance gate's seed
@@ -94,30 +100,66 @@ def test_growth_B_prediction_band_small():
         assert 0.5 <= row["measuredOverPredicted"] <= 2.0
 
 
+_POOL_FAMILIES = {
+    "A": CounterexampleAConfig(block_b=(4, 16), dstar_exponent=0.125, master_seed=MASTER_SEED),
+    "B": CounterexampleBConfig(mode="desk", Ns=(1, 2), master_seed=MASTER_SEED),
+}
+
+
 @pytest.mark.parametrize(
-    "family, key, centered",
+    "family, key, centered, pool",
     [
-        pytest.param("A", 1, True, id="A-block-center-1"),
-        pytest.param("A", 2, True, id="A-block-center-2"),
-        pytest.param("A", 1, False, id="A-origin-1"),
-        pytest.param("A", 2, False, id="A-origin-2"),
-        pytest.param("B", 1, True, id="B-block-center-1"),
-        pytest.param("B", 2, True, id="B-block-center-2"),
+        pytest.param("A", 1, True, 4, id="A-block-center-1"),
+        pytest.param("A", 2, True, 4, id="A-block-center-2"),
+        pytest.param("A", 1, False, 4, id="A-origin-1"),
+        pytest.param("A", 2, False, 4, id="A-origin-2"),
+        pytest.param("B", 1, True, 4, id="B-block-center-1"),
+        pytest.param("B", 2, True, 4, id="B-block-center-2"),
+        pytest.param("A", 1, True, _POOL_BLOCK + 3, id="A-block-center-1-two-draw-blocks"),
+        pytest.param("B", 1, False, _POOL_BLOCK + 3, id="B-origin-1-two-draw-blocks"),
     ],
 )
-def test_sign_pool_equals_symbol_rebuild(family, key, centered):
+def test_sign_pool_equals_symbol_rebuild(family, key, centered, pool):
     # oracle: the per-draw symbol rebuild the sign pool replaces, bit for bit
-    cfg = {
-        "A": CounterexampleAConfig(block_b=(4, 16), dstar_exponent=0.125, master_seed=MASTER_SEED),
-        "B": CounterexampleBConfig(mode="desk", Ns=(1, 2), master_seed=MASTER_SEED),
-    }[family]
+    cfg = _POOL_FAMILIES[family]
     center = cfg.center(key) if centered else 0
     f = cfg.test_function(key, center)
-    ratios = _sign_pool_ratios(cfg, key, f, 4, center=center)
-    assert len(ratios) == 4 and len(set(ratios)) > 1
+    ratios = _sign_pool_ratios(cfg, key, f, pool, center=center)
+    assert len(ratios) == pool and len(set(ratios)) > 1
     for d, ratio in enumerate(ratios):
         m = cfg.block_symbol(key, cfg.block_seed(key, d), center)
         assert ratio == operator_ratio(m, f, f)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_sign_pool_is_thread_invariant(family):
+    cfg = _POOL_FAMILIES[family]
+    f = cfg.test_function(2)
+    pools = [_sign_pool_ratios(cfg, 2, f, 2 * _POOL_BLOCK + 5, t) for t in (1, 2, 3)]
+    assert pools[0] == pools[1] == pools[2]
+
+
+def test_sign_pool_builds_no_symbol_grid(monkeypatch):
+    # the pool reads each block's spectrum from its entries: no (2F+1)^2 grid is stamped
+    calls = []
+
+    def record(owner, name):
+        real = getattr(owner, name)
+
+        def recording(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, recording)
+
+    record(bimult.symbols, "_stamp")
+    record(bimult.symbols._BlockFamily, "block_symbol")
+    for family, key in (("A", 2), ("B", 2)):
+        cfg = _POOL_FAMILIES[family]
+        assert len(_sign_pool_ratios(cfg, key, cfg.test_function(key), 3)) == 3
+    assert calls == []
+    _POOL_FAMILIES["A"].block_symbol(1, None)  # the recording is live
+    assert calls == ["block_symbol", "_stamp"]
 
 
 def test_levelset_grid_is_block_centered(monkeypatch):

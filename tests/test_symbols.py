@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bimult.bilinear import SymbolGrid, operator_ratio
+from bimult.bilinear import SymbolGrid, operator_ratio, output_spectrum
 from bimult.bumps import BumpSpec
 from bimult.grid import FrequencyBox, SpectralVector, l2_norm
 from bimult.lorentz import MeasuredValues, lp_norm, weak_quasinorm
@@ -310,6 +310,52 @@ def test_block_ratio_invariant_under_center_shift(family, data, seed):
         [base + s for s in shifts],
     )
     assert r1 == pytest.approx(r0, rel=1e-9)
+
+
+_BLOCK_FAMILIES = {
+    "A": CounterexampleAConfig(block_b=(4, 16, 64), dstar_exponent=0.125, master_seed=0),
+    "B": CounterexampleBConfig(mode="desk", Ns=(1, 2, 3), master_seed=0),
+}
+
+
+@pytest.mark.parametrize(
+    "family, key, centered",
+    [(fam, key, True) for fam in "AB" for key in (1, 2, 3)]
+    + [(fam, key, False) for fam in "AB" for key in (1, 2)],
+)
+def test_block_output_spectrum_equals_grid_spectrum(family, key, centered):
+    # oracle: the all-plus block symbol's grid, summed by output_spectrum
+    cfg = _BLOCK_FAMILIES[family]
+    center = cfg.center(key) if centered else 0
+    f = cfg.test_function(key, center)
+    u = cfg.block_output_spectrum(key, f, f, center)
+    oracle = output_spectrum(cfg.block_symbol(key, None, center), f, f)
+    assert u.box == oracle.box
+    assert np.array_equal(u.values, oracle.values)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_block_output_spectrum_of_narrower_inputs(family):
+    # inputs on a band inside the block's grid: bumps cut by the band edge drop out
+    cfg, key = _BLOCK_FAMILIES[family], 2
+    center = cfg.center(key)
+    period = cfg.test_function(key, center).box.period
+    rng = np.random.default_rng(5)
+    for radius in (3, 40):
+        box = FrequencyBox(1, radius, 2, period)
+        f, g = (SpectralVector(box, rng.standard_normal(2 * radius + 1)
+                               + 1j * rng.standard_normal(2 * radius + 1)) for _ in "fg")
+        u = cfg.block_output_spectrum(key, f, g, center)
+        oracle = output_spectrum(cfg.block_symbol(key, None, center), f, g)
+        assert np.array_equal(u.values, oracle.values)
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+def test_block_output_spectrum_refuses_mismatched_input(family):
+    cfg = _BLOCK_FAMILIES[family]
+    f = cfg.test_function(2, cfg.center(2))  # block 2's input, wider than block 1's band
+    with pytest.raises(ValueError, match="band limit|spacing"):
+        cfg.block_output_spectrum(1, f, f, cfg.center(1))
 
 
 def test_companion_B_unit_norm():
