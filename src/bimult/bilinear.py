@@ -98,18 +98,22 @@ def _accumulate(rows: Iterable[tuple[tuple[int, ...], np.ndarray]], f: SpectralV
     rows yields (xi, m(xi, .)) for the xi of f's box in row-major order, each
     row restricted to the input band.  Accumulated over anti-diagonals in that
     fixed order, so the per-zeta summation is deterministic.  A complex64 row
-    is widened to complex128 inside the product, which is exact.
+    is widened to complex128 inside the product, which is exact.  Each term
+    (f(xi) m(xi, .)) g(.) is formed in one reused buffer.
     """
     F = f.box.radius
     box_out = _output_box(f)
     u = np.zeros(box_out.lattice_shape, dtype=complex)
     gv = g.values
+    term = np.empty_like(gv)
     for xi, row in rows:
         fval = f.values[xi]
         if fval == 0:
             continue
-        target = tuple(slice(i, i + 2 * F + 1) for i in xi)
-        u[target] += np.multiply(fval, row, dtype=complex) * gv
+        target = u[tuple(slice(i, i + 2 * F + 1) for i in xi)]
+        np.multiply(fval, row, out=term, dtype=complex)
+        np.multiply(term, gv, out=term)
+        np.add(target, term, out=target)
     return SpectralVector(box_out, u)
 
 

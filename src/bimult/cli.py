@@ -145,7 +145,10 @@ def read_symbol(path: str) -> SymbolGrid:
         for chunk in chunks:
             rows[start : start + len(chunk)] = chunk
             start += len(chunk)
-    return SymbolGrid(dim, radius, values, spacing)
+    # header and every chunk are checked: skip SymbolGrid's second scan of all samples
+    m = object.__new__(SymbolGrid)
+    m.__dict__.update(dim=dim, radius=radius, values=values, spacing=spacing, provenance=None)
+    return m
 
 
 def _require_seed(args) -> int:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import json
 import sys
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -180,9 +181,35 @@ def _is_finite_number(x) -> bool:
     return isinstance(x, (int, float)) and not isinstance(x, bool) and abs(x) <= sys.float_info.max
 
 
+def _loads_finite(text: str, refusal: str):
+    """`json.loads`, refusing a NaN, Infinity or -Infinity token with ValueError(refusal)."""
+    def refuse(token):
+        raise ValueError(refusal)
+    return json.loads(text, parse_constant=refuse)
+
+
+def _number_columns(rows, width: int, n_int: int = 0) -> list[tuple] | None:
+    """The columns of `rows` from `_loads_finite` if it is a list of `width`-long lists of
+    n_int ints, then finite numbers (see `spectral_from_json`), else None; checked in bulk."""
+    if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+            and set(map(len, rows)) <= {width}):
+        return None
+    cols = list(zip(*rows)) or [()] * width
+    nums = tuple(chain(*cols[n_int:]))
+    # no NaN got past the parser, so the largest magnitude decides finiteness exactly
+    ok = (set(map(type, chain(*cols[:n_int]))) <= {int} and set(map(type, nums)) <= {int, float}
+          and max(map(abs, nums), default=0) <= sys.float_info.max)
+    return cols if ok else None
+
+
 def spectral_from_json(text: str) -> SpectralVector:
-    """Inverse of `spectral_to_json`; a payload of any other shape is a ValueError."""
-    payload = json.loads(text)
+    """Inverse of `spectral_to_json`; a payload of any other shape is a ValueError.
+
+    dim, radius and oversample are JSON ints.  The period and the values are finite numbers:
+    an int or a float, never a bool, an int compared exactly with the largest float.  NaN,
+    +-Infinity and a float literal beyond the largest float (1e400) are refused anywhere.
+    """
+    payload = _loads_finite(text, "spectral JSON must not hold NaN or Infinity")
     b = payload.get("box") if isinstance(payload, dict) else None
     if not (
         isinstance(b, dict)
@@ -196,14 +223,14 @@ def spectral_from_json(text: str) -> SpectralVector:
     box = FrequencyBox(b["dim"], b["radius"], b["oversample"], b["period"])
     values = payload.get("values")
     n, dim = box.n_lattice, box.dim
-    if not (
+    cols = (
         isinstance(values, list)
         # n >= 3 > 2: a dim above the bit length cannot match, and n^dim is never taken for it
         and dim <= len(values).bit_length()
         and len(values) == n**dim
-        and all(isinstance(v, list) and len(v) == 2 and all(map(_is_finite_number, v))
-                for v in values)
-    ):
+        and _number_columns(values, 2)
+    )
+    if not cols:
         raise ValueError(f"spectral JSON 'values' must be {n}^{dim} [re, im] finite number pairs")
-    flat = np.array([complex(re, im) for re, im in values])
+    flat = np.array(cols, dtype=float).T.copy().view(complex)  # [re, im] rows -> complex
     return SpectralVector(box, flat.reshape(box.lattice_shape))

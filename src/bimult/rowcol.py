@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid import _is_finite_number
+from .grid import _loads_finite, _number_columns
 from .lorentz import MeasuredValues, weak_quasinorm
 
 __all__ = [
@@ -28,16 +28,6 @@ __all__ = [
 
 S1 = "S1"
 S2 = "S2"
-
-
-def _is_coeff_row(row) -> bool:
-    """[k, l, re, im]: integer k, l and finite numeric re, im (a JSON true or false is neither)."""
-    return (
-        isinstance(row, list)
-        and len(row) == 4
-        and all(type(x) is int for x in row[:2])
-        and all(map(_is_finite_number, row[2:]))
-    )
 
 
 @dataclass(frozen=True)
@@ -70,15 +60,19 @@ class CoeffMatrix:
 
     @classmethod
     def from_json(cls, text: str) -> "CoeffMatrix":
-        rows = json.loads(text)
-        if not isinstance(rows, list) or not all(map(_is_coeff_row, rows)):
-            raise ValueError(
-                "coefficient JSON must be a list of [int, int, finite number, finite number] rows"
-            )
-        entries = {(k, l): complex(re, im) for k, l, re, im in rows}
-        if len(entries) != len(rows):
+        """Inverse of `to_json`: [k, l, re, im] rows, each (k, l) at most once.  k and l
+        are JSON ints; re and im are finite numbers as `grid.spectral_from_json` accepts."""
+        refusal = "coefficient JSON must be a list of [int, int, finite number, finite number] rows"
+        cols = _number_columns(_loads_finite(text, refusal), 4, n_int=2)
+        if cols is None:
+            raise ValueError(refusal)
+        k, l, re, im = cols
+        entries = dict(zip(zip(k, l), map(complex, re, im)))
+        if len(entries) != len(k):
             raise ValueError("coefficient JSON repeats a (k, l) key")
-        return cls(entries)
+        c = object.__new__(cls)  # entries are (int, int) -> complex already: no __post_init__
+        c.__dict__["entries"] = entries
+        return c
 
 
 @dataclass(frozen=True)

@@ -185,8 +185,9 @@ def _bump_patch(psi: BumpSpec, resolution: int) -> np.ndarray:
     return np.outer(a, a)
 
 
-def _stamp(entries: dict, psi: BumpSpec, resolution: int, F: int) -> np.ndarray:
-    """(2F+1)^2 samples of sum v * Psi(. - k, . - l) over the entries {(k, l): v}.
+def _stamp(kl: np.ndarray, v: np.ndarray, psi: BumpSpec, resolution: int, F: int) -> np.ndarray:
+    """(2F+1)^2 samples of sum v_i * Psi(. - k_i, . - l_i) over the int64 rows (k_i, l_i)
+    of kl and the values v.
 
     One scatter per patch offset (di, dj) over all entries.  _check_symbol_grid
     keeps the patches disjoint, so each sample receives exactly one 0 + v * Psi,
@@ -194,8 +195,6 @@ def _stamp(entries: dict, psi: BumpSpec, resolution: int, F: int) -> np.ndarray:
     """
     patch = _bump_patch(psi, resolution)
     w = patch.shape[0] // 2
-    kl = np.array(list(entries), dtype=np.int64)
-    v = np.array(list(entries.values()))
     rows = F + resolution * kl[:, 0] - w
     cols = F + resolution * kl[:, 1] - w
     values = np.zeros((2 * F + 1, 2 * F + 1), dtype=complex)
@@ -228,12 +227,14 @@ def lattice_symbol(
     if not c.entries:
         raise ValueError("empty coefficient matrix")
     r = resolution
-    local = {(k - center[0], l - center[1]): v for (k, l), v in c.entries.items()}
-    F = r * (max(max(abs(k), abs(l)) for k, l in local) + 1)
+    kl = np.array(list(c.entries), dtype=np.int64)
+    lo, hi = kl.min(axis=0).tolist(), kl.max(axis=0).tolist()  # Python ints: F cannot wrap
+    F = r * (max(abs(x - s) for x, s in zip(lo + hi, center * 2)) + 1)
+    kl -= center
     return SymbolGrid(
         2,
         F,
-        _stamp(local, psi, r, F),
+        _stamp(kl, np.array(list(c.entries.values())), psi, r, F),
         spacing=1.0 / r,
         provenance={"generator": "lattice_symbol", "resolution": r, "center": list(center)},
     )
@@ -291,7 +292,9 @@ class _BlockFamily:
         symbol-side norms are in undilated units."""
         center, F = self._layout(key, center)
         r = self.resolution
-        values = _stamp(self.block_entries(key, seed, center), self.psi, r, F)
+        entries = self.block_entries(key, seed, center)
+        kl = np.array(list(entries), dtype=np.int64)
+        values = _stamp(kl, np.array(list(entries.values())), self.psi, r, F)
         spacing = 2.0 ** -self.dilation(key) / r
         return SymbolGrid(2, F, values, spacing, self.provenance(key, seed, center))
 

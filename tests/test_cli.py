@@ -4,12 +4,13 @@ import hashlib
 import json
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 
 import bimult.cli
-from bimult.bilinear import SymbolGrid, apply_bilinear, operator_ratio
+from bimult.bilinear import SymbolGrid, apply_bilinear, operator_ratio, output_spectrum
 from bimult.cli import read_symbol, run, write_symbol
 from bimult.experiments import config_hash
 from bimult.grid import FrequencyBox, SpectralVector, l1_norm, spectral_from_json, spectral_to_json
@@ -394,6 +395,20 @@ def test_apply_refuses_non_finite_sample_outside_input_box(tmp_path, capsys, xi,
     assert _one_line_error(capsys, naming=sym)
 
 
+@pytest.mark.parametrize("index", [0, 801**2 - 1], ids=["first-chunk", "last-chunk"])
+@pytest.mark.parametrize("sample", [(float("nan"), 0.0), (0.0, float("-inf"))], ids=["nan", "inf"])
+def test_read_symbol_refuses_non_finite_sample(tmp_path, index, sample):
+    # read_symbol relies on the per-chunk check alone: a bad sample in any chunk is refused
+    m = SymbolGrid(2, 400, np.ones((801, 801)), 0.5)
+    path = str(tmp_path / "s.bin")
+    write_symbol(path, m, {})
+    with open(path, "r+b") as fh:
+        fh.seek(24 + 8 * index)
+        fh.write(struct.pack("<ff", *sample))
+    with pytest.raises(ValueError, match="non-finite symbol sample"):
+        read_symbol(path)
+
+
 def test_apply_zero_norm_input_is_one_line_error(tmp_path, capsys):
     sym, (fpath, gpath) = _apply_inputs(tmp_path, lambda rng, n: np.zeros(n, dtype=complex))
     out = str(tmp_path / "apply.json")
@@ -502,6 +517,7 @@ def test_apply_bad_symbol_file_is_one_line_error(tmp_path, capsys, corrupt):
 
 
 _HUGE = "1" + "0" * 400  # a JSON integer too large for a float
+_MAX_PLUS_ONE = int(sys.float_info.max) + 1  # rounds to a finite float; refused exactly
 
 
 @pytest.mark.parametrize(
@@ -511,7 +527,18 @@ _HUGE = "1" + "0" * 400  # a JSON integer too large for a float
      pytest.param(f"[[0, 0, 1.0, -{_HUGE}]]", id="huge-im"),
      pytest.param("[[0, 0, NaN, 0]]", id="nan"),
      pytest.param("[[0, 0, 1.0, Infinity]]", id="inf"),
-     pytest.param("[[0, 0, -Infinity, 0]]", id="minus-inf")],
+     pytest.param("[[0, 0, -Infinity, 0]]", id="minus-inf"),
+     pytest.param("[[0, 0, 1e400, 0]]", id="float-literal-1e400"),
+     pytest.param("[[0, 0, 1.0, -1e400]]", id="float-literal-minus-1e400"),
+     pytest.param("[[1.0, 0, 1.0, 0]]", id="k-float"),
+     pytest.param("[[0, 1.0, 1.0, 0]]", id="l-float"),
+     pytest.param("[[true, 0, 1.0, 0]]", id="k-true"),
+     pytest.param("[[0, true, 1.0, 0]]", id="l-true"),
+     pytest.param("[[null, 0, 1.0, 0]]", id="k-null"),
+     pytest.param("[[0, null, 1.0, 0]]", id="l-null"),
+     pytest.param("[[0, 0, 1.0, 0.0, 0.0]]", id="row-of-5"),
+     pytest.param("[[0, 0, [1.0], 0.0]]", id="nested-re"),
+     pytest.param(f"[[0, 0, {_MAX_PLUS_ONE}, 0]]", id="max-plus-one")],
 )
 @pytest.mark.parametrize("command", ["decompose", "gen-symbol"])
 def test_malformed_coeff_rows_are_one_line_errors(tmp_path, capsys, command, rows):
@@ -599,15 +626,68 @@ def test_experiment_non_object_config_is_one_line_error(tmp_path, capsys):
          "values": [[1, 0], [0, -(10**400)], [0, 0]]},
         {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
          "values": [[1, 0], [float("nan"), 0], [0, 0]]},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
+         "values": [[1, 0], [0, _MAX_PLUS_ONE], [0, 0]]},
+        '{"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},'
+        ' "values": [[1, 0], [1e400, 0], [0, 0]]}',
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
+         "values": [[1, 0], [True, 0], [0, 0]]},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
+         "values": [[1, 0], [0, None], [0, 0]]},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
+         "values": [[1, 0], [0, 0, 0], [0, 0]]},
+        {"box": {"dim": 1, "radius": 1, "oversample": 2, "period": 10.0},
+         "index_order": float("nan"), "values": [[1, 0], [0, 0], [0, 0]]},
     ],
     ids=["list", "box-list", "no-period", "no-values", "short-values", "string-value",
-         "bare-value", "huge-dim", "huge-period", "huge-value", "nan-value"],
+         "bare-value", "huge-dim", "huge-period", "huge-value", "nan-value",
+         "max-plus-one-value", "float-literal-1e400", "true-value", "null-value", "triple",
+         "nan-outside-values"],
 )
 def test_apply_malformed_spectral_json_is_one_line_error(tmp_path, capsys, payload):
     sym, (fpath, gpath) = _apply_inputs(
         tmp_path, lambda rng, n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
     )
-    open(fpath, "w").write(json.dumps(payload))
+    # a string is written as it stands: json.dumps cannot spell a float literal like 1e400
+    open(fpath, "w").write(payload if isinstance(payload, str) else json.dumps(payload))
     capsys.readouterr()
     assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath]) == 1
     assert _one_line_error(capsys, naming="spectral JSON")
+
+
+_PINNED_COEFFS = (  # a heavy row, so both labels occur; ints, -0.0 and 5e-324 among the numbers
+    "[[0, -6, 1, 0], [0, -5, 1.0, -0.0], [0, -4, 0.75, 0.5], [0, -3, -1, 0], [0, -2, 1, 5e-324],"
+    " [0, -1, 0.9, 0.1], [0, 0, 0.5, 0.5], [0, 1, 1, 0], [0, 2, -0.8, 0.3], [0, 3, 0.7, -0.7],"
+    " [0, 4, 1, 2], [0, 5, 0.6, 0], [3, -3, 0.25, -0.125], [-3, 1, 0.3, 0.6], [2, 2, -0.0, 1]]"
+)
+
+
+def test_cli_round_trip_bytes_are_pinned(tmp_path):
+    # parsers and accumulator, byte for byte: decompose's partition, apply's payload and
+    # the output spectrum
+    coeffs = tmp_path / "coeffs.json"
+    coeffs.write_text(_PINNED_COEFFS)
+    part, sym, out = (str(tmp_path / name) for name in ("part.json", "s.bin", "apply.json"))
+    assert run(["decompose", "--in", str(coeffs), "--out", part]) == 0
+    assert run(["gen-symbol", "--kind", "lattice", "--coeffs", str(coeffs), "--resolution", "16",
+                "--seed", "1", "--out", sym]) == 0
+    box = FrequencyBox(1, 40, 2, 16.0)  # lattice points -2..2 of the symbol's band of radius 112
+    k = np.arange(-40, 41)
+    paths = []
+    for name, vals in (("f", k / 7 + 1j / (k**2 + 3)), ("g", (-0.5) ** np.abs(k % 9) - 1j / 3)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(spectral_to_json(SpectralVector(box, vals)))
+    assert run(["apply", "--symbol", sym, "--f", str(paths[0]), "--g", str(paths[1]),
+                "--out", out]) == 0
+    assert hashlib.sha256(open(part, "rb").read()).hexdigest() == (
+        "28dfde650984edf088b52b96c38241c90599c22c8a9d2f217365a725efae2e08"
+    )
+    assert hashlib.sha256(open(out, "rb").read()).hexdigest() == (
+        "c71cd0722dbd6b49e9397b87b81fad82a784af468d0d2d7ecba3bbbfc5ee707d"
+    )
+    # the payload's two sums can absorb a last-bit change of the spectrum: pin it too
+    f, g = (spectral_from_json(path.read_text()) for path in paths)
+    u = output_spectrum(read_symbol(sym), f, g).values
+    assert hashlib.sha256(u.tobytes()).hexdigest() == (
+        "512a1b3d4b9df43cdda9238aeeef6fce428f2c534b43069172a0e25105332098"
+    )

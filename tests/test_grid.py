@@ -1,7 +1,12 @@
 """Spectral grid: synthesis, norms, serialization."""
 
+import json
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimult.grid import (
     FrequencyBox,
@@ -13,6 +18,7 @@ from bimult.grid import (
     synthesize,
     synthesize_direct,
 )
+from bimult.rowcol import CoeffMatrix
 
 
 def random_spectral(box, seed):
@@ -87,3 +93,55 @@ def test_json_round_trip():
     g = spectral_from_json(spectral_to_json(f))
     assert g.box == box
     assert np.array_equal(g.values, f.values)
+
+
+
+# JSON numbers either parser accepts: finite floats with their edge cases, and ints up
+# to the largest float (complex(re, im) rounds those); both parsers share one check
+_EDGE_FLOATS = [-0.0, 5e-324, -5e-324, 2.2250738585072014e-308, sys.float_info.max,
+                -sys.float_info.max]
+json_numbers = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from(_EDGE_FLOATS),
+    st.integers(-int(sys.float_info.max), int(sys.float_info.max)),
+    st.integers(-(2**54), 2**54),
+)
+
+
+def _bits(z: complex) -> tuple[str, str]:
+    return z.real.hex(), z.imag.hex()  # tells -0.0 from 0.0
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), radius=st.integers(1, 3))
+def test_spectral_json_round_trip_is_bit_exact(data, dim, radius):
+    box = FrequencyBox(dim, radius, oversample=3, period=0.5)
+    size = box.n_lattice**dim
+    pairs = data.draw(st.lists(st.tuples(json_numbers, json_numbers), min_size=size,
+                               max_size=size))
+    payload = json.loads(spectral_to_json(SpectralVector(box, np.zeros(box.lattice_shape))))
+    payload["values"] = [list(p) for p in pairs]
+    spec = spectral_from_json(json.dumps(payload))
+    expected = np.array([complex(re, im) for re, im in pairs]).reshape(box.lattice_shape)
+    assert spec.box == box and spec.values.dtype == complex
+    assert np.array_equal(spec.values.view(np.uint64), expected.view(np.uint64))
+    back = spectral_from_json(spectral_to_json(spec))
+    assert back.box == box
+    assert np.array_equal(back.values.view(np.uint64), spec.values.view(np.uint64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.dictionaries(st.tuples(st.integers(-(2**70), 2**70), st.integers(-3, 3)),
+                       st.tuples(json_numbers, json_numbers), max_size=12))
+def test_coeff_json_round_trip_is_bit_exact(rows):
+    c = CoeffMatrix.from_json(json.dumps([[k, l, re, im] for (k, l), (re, im) in rows.items()]))
+    assert {kl: _bits(v) for kl, v in c.entries.items()} == {
+        kl: _bits(complex(re, im)) for kl, (re, im) in rows.items()
+    }
+    back = CoeffMatrix.from_json(c.to_json())
+    assert {kl: _bits(v) for kl, v in back.entries.items()} == {
+        kl: _bits(v) for kl, v in c.entries.items()
+    }
+    for entries in (c.entries, back.entries):
+        assert all(type(k) is int and type(l) is int for k, l in entries)
+        assert all(type(v) is complex for v in entries.values())
