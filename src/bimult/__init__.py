@@ -19,14 +19,7 @@ from .grid import (
     spectral_to_json,
     synthesize,
 )
-from .lorentz import (
-    MeasuredValues,
-    RearrangementProfile,
-    level_measure,
-    lp_norm,
-    rearrangement,
-    weak_quasinorm,
-)
+from .lorentz import MeasuredValues, weak_quasinorm
 from .rowcol import (
     CoeffMatrix,
     Partition,
@@ -40,15 +33,10 @@ from .symbols import (
     ShellSequence,
     SignAssignment,
     besov_norm,
-    counterexample_A,
     counterexample_B_block,
     count_representations,
     lattice_symbol,
-    littlewood_paley_piece,
-    make_shell_sequence,
     power_shell_sequence,
-    sobolev_weak_norm,
-    test_function_A,
     test_function_B,
 )
 from .wavelets import (

@@ -48,9 +48,6 @@ class CoeffMatrix:
     def scaled(self, c: complex) -> "CoeffMatrix":
         return CoeffMatrix({kl: c * v for kl, v in self.entries.items()})
 
-    def transposed(self) -> "CoeffMatrix":
-        return CoeffMatrix({(l, k): v for (k, l), v in self.entries.items()})
-
     def to_json(self) -> str:
         rows = [
             [k, l, v.real, v.imag]

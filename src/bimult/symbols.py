@@ -1,11 +1,11 @@
 """Symbol generators and symbol-side norm estimators.
 
 Covers lattice-bump symbols with prescribed coefficients, shell-monotone
-coefficient families realizing a target rearrangement, the two randomized
+coefficient families with a power-law rearrangement, the two randomized
 counterexample constructions (anti-diagonal signs on a single lattice, and
-the multi-scale dilated block family), dyadic frequency decomposition of
-sampled symbols, the Besov and weak Sobolev norm estimators, and the
-anti-diagonal representation counts that drive the coherent lower bounds.
+the multi-scale dilated block family), the Besov norm (weak-l4 norms of the
+dyadic pieces of a sampled symbol), and the anti-diagonal representation
+counts that drive the coherent lower bounds.
 
 Block generators accept a `center` shift of the frequency lattice.  A shift
 is a pure modulation of the operator output, so every measured magnitude
@@ -30,18 +30,13 @@ from .rowcol import CoeffMatrix
 __all__ = [
     "SignAssignment",
     "ShellSequence",
-    "make_shell_sequence",
     "power_shell_sequence",
     "lattice_symbol",
     "CounterexampleAConfig",
-    "counterexample_A",
-    "test_function_A",
     "CounterexampleBConfig",
     "counterexample_B_block",
     "test_function_B",
-    "littlewood_paley_piece",
     "besov_norm",
-    "sobolev_weak_norm",
     "ReprTable",
     "count_representations",
 ]
@@ -121,30 +116,6 @@ class ShellSequence:
         return CoeffMatrix(
             {kl: complex(v) for kl, v in zip(order, self.dstar) if v != 0.0}
         )
-
-
-def make_shell_sequence(mu, box_radius: int) -> ShellSequence:
-    """Realize level counts floor(mu(lambda)) (clipped to the box) shell-monotonely.
-
-    mu must be non-increasing on (0, 1).  The j-th largest realized value is
-    sup{lambda in (0,1): floor(mu(lambda)) >= j}, found by bisection.
-    """
-    n_cells = (2 * box_radius + 1) ** 2
-    j = np.arange(1, n_cells + 1)
-    lo = np.zeros(n_cells)
-    hi = np.ones(n_cells)
-    probes = np.linspace(1e-6, 1 - 1e-6, 64)
-    mu_vals = np.array([mu(p) for p in probes], dtype=float)
-    if np.any(np.diff(mu_vals) > 1e-9):
-        raise ValueError("mu must be non-increasing on (0, 1)")
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        ok = np.array([np.floor(mu(x)) >= jj for x, jj in zip(mid, j)])
-        lo = np.where(ok, mid, lo)
-        hi = np.where(ok, hi, mid)
-    dstar = np.where(lo > 1e-12, lo, 0.0)
-    dstar = np.minimum.accumulate(dstar)
-    return ShellSequence(box_radius, dstar)
 
 
 def power_shell_sequence(box_radius: int, exponent: float) -> ShellSequence:
@@ -409,19 +380,6 @@ class CounterexampleAConfig(_BlockFamily):
         }
 
 
-def counterexample_A(cfg: CounterexampleAConfig) -> CoeffMatrix:
-    """Coefficients on the union of the disjoint blocks: signs constant along anti-diagonals."""
-    entries: dict = {}
-    for K in cfg.block_keys():
-        entries.update(cfg.block_entries(K, cfg.block_seed(K), 0))
-    return CoeffMatrix(entries)
-
-
-def test_function_A(K: int, cfg: CounterexampleAConfig, center: int = 0) -> SpectralVector:
-    """f_K with one frequency bump per block index, on the torus of period r."""
-    return cfg.test_function(K, center)
-
-
 def block_A_symbol(
     cfg: CounterexampleAConfig, K: int, seed: int | None, center: int = 0
 ) -> SymbolGrid:
@@ -541,14 +499,7 @@ def test_function_B(
 
 
 # ---------------------------------------------------------------------------
-# dyadic frequency decomposition and norm estimators
-
-
-def _symbol_freq_radii(m: SymbolGrid) -> np.ndarray:
-    P = 2 * m.radius + 1
-    freqs = np.fft.fftfreq(P, d=m.spacing)
-    grids = np.meshgrid(*([freqs] * m.dim), indexing="ij", sparse=True)
-    return np.sqrt(sum(g**2 for g in grids))
+# dyadic frequency decomposition and the Besov norm
 
 
 def _lp_cutoffs(m: SymbolGrid, k_max: int | None = None) -> list[np.ndarray]:
@@ -562,17 +513,11 @@ def _lp_cutoffs(m: SymbolGrid, k_max: int | None = None) -> list[np.ndarray]:
     if k_max is None:
         band = 0.5 / m.spacing * np.sqrt(m.dim)
         k_max = int(np.ceil(np.log2(max(band, 2.0))))
-    rho = _symbol_freq_radii(m)
+    freqs = np.fft.fftfreq(2 * m.radius + 1, d=m.spacing)
+    grids = np.meshgrid(*([freqs] * m.dim), indexing="ij", sparse=True)
+    rho = np.sqrt(sum(g**2 for g in grids))
     c = [smooth_step((1.5 - rho / 2.0**k) / 0.5) for k in range(k_max + 1)]
     return c[:1] + [c[k] - c[k - 1] for k in range(1, k_max + 1)]
-
-
-def littlewood_paley_piece(m: SymbolGrid, k: int) -> SymbolGrid:
-    """Dyadic piece of the symbol via periodized DFT filtering."""
-    if k < 0:
-        raise ValueError("k must be >= 0")
-    filtered = np.fft.ifftn(np.fft.fftn(m.values) * _lp_cutoffs(m, k)[k])
-    return SymbolGrid(m.dim, m.radius, filtered, m.spacing, m.provenance)
 
 
 def besov_norm(m: SymbolGrid, k_max: int | None = None) -> float:
@@ -585,16 +530,6 @@ def besov_norm(m: SymbolGrid, k_max: int | None = None) -> float:
     return total
 
 
-def sobolev_weak_norm(m: SymbolGrid, s: float) -> float:
-    """Weak-L4 norm after the smoothing multiplier (1 + 4 pi^2 |w|^2)^(s/2)."""
-    if s < 0:
-        raise ValueError("s must be >= 0")
-    rho = _symbol_freq_radii(m)
-    mult = (1.0 + 4.0 * np.pi**2 * rho**2) ** (s / 2.0)
-    smoothed = np.fft.ifftn(np.fft.fftn(m.values) * mult)
-    return weak_quasinorm(MeasuredValues.of(smoothed, m.cell_measure), 4.0)
-
-
 # ---------------------------------------------------------------------------
 # anti-diagonal representation counts
 
@@ -603,21 +538,8 @@ def sobolev_weak_norm(m: SymbolGrid, s: float) -> float:
 class ReprTable:
     """r(l) = card{j in I^n : l - j in I^n}, separable over coordinates."""
 
-    lo: int  # smallest attainable 1d sum
-    counts_1d: np.ndarray = field(repr=False)
+    counts_1d: np.ndarray = field(repr=False)  # r(l) in 1d, from the smallest sum l up
     n: int = 1
-
-    def count(self, l) -> int:
-        idx = l if isinstance(l, tuple) else (int(l),)
-        if len(idx) != self.n:
-            raise ValueError("index dimension mismatch")
-        out = 1
-        for li in idx:
-            pos = li - self.lo
-            if not 0 <= pos < self.counts_1d.size:
-                return 0
-            out *= int(self.counts_1d[pos])
-        return out
 
     def sum_squares(self) -> int:
         one_d = int(np.sum(self.counts_1d.astype(object) ** 2))
@@ -663,4 +585,4 @@ def count_representations(I, n: int = 1) -> ReprTable:
     ind = np.zeros(hi - lo + 1, dtype=np.int64)
     ind[[i - lo for i in idx]] = 1
     counts = np.convolve(ind, ind)
-    return ReprTable(2 * lo, counts, n)
+    return ReprTable(counts, n)

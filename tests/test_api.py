@@ -1,4 +1,5 @@
-"""API surface: every exported name resolves, and so does every traced target.
+"""API surface: every exported name resolves and is used, and every traced target
+resolves.
 
 The benchmark's span tracer (`bench/spans.py`) wraps functions by module and
 name; a rename or deletion there would otherwise surface only in a traced
@@ -8,6 +9,7 @@ benchmark run.
 import ast
 import importlib
 import importlib.util
+import re
 import sys
 from pathlib import Path
 
@@ -25,7 +27,12 @@ MODULES = (
     "bimult.wavelets",
     "bimult.experiments",
 )
-SPANS = Path(__file__).resolve().parents[1] / "bench" / "spans.py"
+ROOT = Path(__file__).resolve().parents[1]
+SPANS = ROOT / "bench" / "spans.py"
+PACKAGE = ROOT / "src" / "bimult"
+# what runs: the package modules, the benchmark and the acceptance gate
+CALLERS = sorted(set(PACKAGE.glob("*.py")) - {PACKAGE / "__init__.py"})
+CALLERS += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "tests" / "test_acceptance.py"]
 
 
 @pytest.mark.parametrize("module", MODULES)
@@ -54,3 +61,16 @@ def test_traced_targets_exist(monkeypatch):
     assert spans.TARGETS
     for module, fname, *_ in spans.TARGETS:
         assert callable(getattr(importlib.import_module(module), fname, None)), (module, fname)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_every_exported_name_is_used(module):
+    # a public name that only its own tests reach is dead weight: delete it instead
+    lines = [line for path in CALLERS for line in path.read_text().splitlines()]
+    unused = []
+    for name in importlib.import_module(module).__all__:
+        word = re.compile(rf"\b{re.escape(name)}\b")
+        own = re.compile(rf'\s*((def|class)\s+{re.escape(name)}\b|"{re.escape(name)}",?\s*$)')
+        if not any(word.search(line) and not own.match(line) for line in lines):
+            unused.append(name)
+    assert unused == []

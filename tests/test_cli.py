@@ -597,6 +597,22 @@ def test_gen_symbol_bad_block_config_is_one_line_error(tmp_path, capsys, matrix_
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "key", [1_000_000, 2**62], ids=["grid-too-large", "grid-side-overflows"]
+)
+def test_gen_symbol_key_far_from_origin_is_one_line_error(tmp_path, capsys, key):
+    # both grids are refused before any sample is allocated: 22.7 PiB, and a side
+    # length past the C long
+    coeffs = tmp_path / "far.json"
+    coeffs.write_text(f"[[{key}, 0, 1.0, 0.0]]")
+    out = tmp_path / "sym.bin"
+    argv = ["gen-symbol", "--kind", "lattice", "--coeffs", str(coeffs), "--seed", "1",
+            "--out", str(out)]
+    assert run(argv) == 1
+    assert _one_line_error(capsys)
+    assert not out.exists() and not (tmp_path / "sym.bin.json").exists()
+
+
 def test_experiment_non_object_config_is_one_line_error(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text("[1]")

@@ -81,7 +81,7 @@ def test_homogeneity_of_labels():
 def test_transpose_symmetry_of_bounds():
     # transposing swaps the roles of rows and columns; the guarantee persists
     f = random_matrix(23)
-    ft = f.transposed()
+    ft = CoeffMatrix({(l, k): v for (k, l), v in f.entries.items()})
     max_row, max_col = verify_partition(ft, decompose(ft))
     bound = ALLOWED_CONST_SQ * ft.weak4() ** 2
     assert max(max_row, max_col) <= bound + 1e-9

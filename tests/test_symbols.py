@@ -1,4 +1,4 @@
-"""Symbol generators, shell sequences, dyadic pieces, and counting."""
+"""Symbol generators, shell sequences, dyadic cutoffs, and counting."""
 
 import hashlib
 import struct
@@ -11,29 +11,24 @@ from hypothesis import strategies as st
 from bimult.bilinear import SymbolGrid, operator_ratio, output_spectrum
 from bimult.bumps import BumpSpec
 from bimult.grid import FrequencyBox, SpectralVector, l2_norm
-from bimult.lorentz import MeasuredValues, lp_norm, weak_quasinorm
+from bimult.lorentz import weak_quasinorm
 from bimult.rowcol import CoeffMatrix
 from bimult.symbols import (
     CounterexampleAConfig,
     CounterexampleBConfig,
-    ReprTable,
     SignAssignment,
     _hash64,
+    _lp_cutoffs,
     _shell_order,
     besov_norm,
     block_A_symbol,
     block_B_l4_fourth_coeff,
-    counterexample_A,
     counterexample_B_block,
     count_representations,
     lattice_symbol,
-    littlewood_paley_piece,
-    make_shell_sequence,
     power_shell_sequence,
     shell_rank,
-    sobolev_weak_norm,
 )
-from bimult.symbols import test_function_A as make_f_A
 from bimult.symbols import test_function_B as make_f_B
 
 PSI = BumpSpec(radius=0.1, plateau=0.05)
@@ -51,8 +46,8 @@ def test_single_bump_sup():
 def test_two_bumps_l4_additive():
     single = lattice_symbol(CoeffMatrix({(0, 0): 1.0}), PSI, 20)
     double = lattice_symbol(CoeffMatrix({(0, 0): 1.0, (2, -1): -1.0}), PSI, 20)
-    s4 = lp_norm(single.measured(), 4.0) ** 4
-    d4 = lp_norm(double.measured(), 4.0) ** 4
+    s4 = np.sum(np.abs(single.values) ** 4.0) * single.cell_measure
+    d4 = np.sum(np.abs(double.values) ** 4.0) * double.cell_measure
     assert d4 == pytest.approx(2.0 * s4, rel=1e-12)
 
 
@@ -83,35 +78,6 @@ def test_shell_rank_matches_enumeration():
         assert shell_rank(k, l) == rank
     for rank, (k, l) in enumerate(_shell_order(40), start=1):
         assert shell_rank(k, l) == rank
-
-
-def test_make_shell_sequence_quartic_level_counts():
-    # mu(lam) = lam^-4 realizes d*(j) = j^(-1/4): unit weak-l4 on any box
-    seq = make_shell_sequence(lambda lam: lam**-4.0, 6)
-    c = seq.coeff_matrix()
-    vals = np.array(sorted((abs(v) for v in c.entries.values()), reverse=True))
-    j = np.arange(1, vals.size + 1)
-    assert np.allclose(vals, j ** -0.25, rtol=1e-9)
-    assert c.weak4() == pytest.approx(1.0, rel=1e-9)
-
-
-def test_make_shell_sequence_octic_unbounded():
-    # mu(lam) = lam^-8 realizes d*(j) = j^(-1/8): sup_j j^(1/4) d*(j) grows with M
-    norms = []
-    for M in (4, 8, 16):
-        c = make_shell_sequence(lambda lam: lam**-8.0, M).coeff_matrix()
-        norms.append(c.weak4())
-    assert norms[0] < norms[1] < norms[2]
-
-
-def test_make_shell_sequence_constant_mu():
-    # mu = 9: exactly 9 cells at value ~1, the rest 0
-    seq = make_shell_sequence(lambda lam: 9.0, 5)
-    # coeff_matrix stores the nonzero cells of the box; the others are 0
-    vals = [abs(v) for v in seq.coeff_matrix().entries.values()]
-    big = [v for v in vals if v > 0.99]
-    assert len(big) == 9
-    assert sum(1 for v in vals if v > 1e-9) == 9
 
 
 def test_power_shell_sequence_is_shell_monotone():
@@ -153,14 +119,14 @@ def test_hash64_matches_each_hand_packed_derivation():
 
 def test_counterexample_A_single_cell():
     cfg = CounterexampleAConfig(block_b=(1,), dstar_exponent=0.0, master_seed=0)
-    c = counterexample_A(cfg)
+    c = CoeffMatrix(cfg.block_entries(1, cfg.block_seed(1), 0))
     assert set(c.entries) == {(1, 1)}
     assert abs(c.entries[(1, 1)]) == 1.0
 
 
 def test_counterexample_A_antidiagonal_signs():
     cfg = CounterexampleAConfig(block_b=(2,), dstar_exponent=0.0, master_seed=5)
-    c = counterexample_A(cfg)
+    c = CoeffMatrix(cfg.block_entries(1, cfg.block_seed(1), 0))
     assert set(c.entries) == {(j, k) for j in (2, 3) for k in (2, 3)}
     # signs depend only on j + k, so the two cells with j+k=5 agree
     assert c.entries[(2, 3)] == c.entries[(3, 2)]
@@ -168,7 +134,7 @@ def test_counterexample_A_antidiagonal_signs():
 
 def test_counterexample_A_magnitudes_unchanged_by_signs():
     cfg = CounterexampleAConfig(block_b=(4,), dstar_exponent=0.125, master_seed=9)
-    c = counterexample_A(cfg)
+    c = CoeffMatrix(cfg.block_entries(1, cfg.block_seed(1), 0))
     mags = CoeffMatrix({kl: abs(v) for kl, v in c.entries.items()})
     assert c.weak4() == pytest.approx(mags.weak4(), rel=1e-12)
 
@@ -180,10 +146,10 @@ def test_counterexample_A_block_spacing_guard():
 
 def test_companion_A_bump_count_and_norm():
     cfg = CounterexampleAConfig(block_b=(4,), dstar_exponent=0.125, master_seed=1)
-    f = make_f_A(1, cfg, center=cfg.center(1))
+    f = cfg.test_function(1, center=cfg.center(1))
     # b_1 = 4 disjoint plateau bumps; L2 is 4x the single-bump L2
     single = CounterexampleAConfig(block_b=(1,), dstar_exponent=0.125, master_seed=1)
-    f1 = make_f_A(1, single, center=1)
+    f1 = single.test_function(1, center=1)
     assert l2_norm(f) ** 2 == pytest.approx(4.0 * l2_norm(f1) ** 2, rel=1e-12)
 
 
@@ -258,7 +224,7 @@ def test_block_A_rejects_index_outside_its_blocks(K):
     cfg = CounterexampleAConfig(block_b=(4, 16), dstar_exponent=0.125, master_seed=0)
     for build in (
         lambda: block_A_symbol(cfg, K, 1),
-        lambda: make_f_A(K, cfg),
+        lambda: cfg.test_function(K, 0),
         lambda: cfg.center(K),
     ):
         with pytest.raises(ValueError, match="outside 1..2"):
@@ -366,7 +332,7 @@ def test_companion_B_unit_norm():
 
 
 # ---------------------------------------------------------------------------
-# Littlewood-Paley pieces and norm estimators
+# Littlewood-Paley cutoffs and the Besov norm
 
 
 def band_limited_symbol(radius_cap, seed, F=24, res=8):
@@ -385,18 +351,23 @@ def band_limited_symbol(radius_cap, seed, F=24, res=8):
     return SymbolGrid(2, F, np.fft.ifft2(spec), spacing=h)
 
 
+def lp_pieces(m, k_max):
+    """The dyadic pieces besov_norm measures: m filtered through each cutoff."""
+    mhat = np.fft.fftn(m.values)
+    return [np.fft.ifftn(mhat * phi) for phi in _lp_cutoffs(m, k_max)]
+
+
 def test_lp_piece_band_limited_identity():
     m = band_limited_symbol(0.9, 0)
-    p0 = littlewood_paley_piece(m, 0)
-    assert np.max(np.abs(p0.values - m.values)) < 1e-8 * np.max(np.abs(m.values))
-    for k in (1, 2, 3):
-        pk = littlewood_paley_piece(m, k)
-        assert np.max(np.abs(pk.values)) < 1e-8 * np.max(np.abs(m.values))
+    p0, *rest = lp_pieces(m, 3)
+    assert np.max(np.abs(p0 - m.values)) < 1e-8 * np.max(np.abs(m.values))
+    for pk in rest:
+        assert np.max(np.abs(pk)) < 1e-8 * np.max(np.abs(m.values))
 
 
 def test_lp_telescoping_recovers_band_limited():
     m = band_limited_symbol(3.0, 1)
-    total = sum(littlewood_paley_piece(m, k).values for k in range(6))
+    total = sum(lp_pieces(m, 5))
     assert np.max(np.abs(total - m.values)) < 1e-8 * np.max(np.abs(m.values))
 
 
@@ -406,10 +377,7 @@ def test_lp_parseval_band():
     # pieces lies in [1/2, 1] times the total energy
     m = band_limited_symbol(4.0, 2)
     l2sq = float(np.sum(np.abs(m.values) ** 2) * m.cell_measure)
-    pieces = sum(
-        float(np.sum(np.abs(littlewood_paley_piece(m, k).values) ** 2) * m.cell_measure)
-        for k in range(8)
-    )
+    pieces = sum(float(np.sum(np.abs(pk) ** 2) * m.cell_measure) for pk in lp_pieces(m, 7))
     assert 0.5 - 1e-9 <= pieces / l2sq <= 1.0 + 1e-9
 
 
@@ -452,47 +420,13 @@ def test_besov_norm_zero_and_homogeneous():
     assert besov_norm(m.scaled(2.0)) == pytest.approx(2.0 * besov_norm(m), rel=1e-9)
 
 
-def test_sobolev_weak_s0_is_weak_norm():
-    m = lattice_symbol(CoeffMatrix({(0, 0): 1.0, (1, -1): 2.0}), PSI, 10)
-    assert sobolev_weak_norm(m, 0.0) == pytest.approx(
-        weak_quasinorm(m.measured(), 4.0), rel=1e-12
-    )
-
-
-def test_sobolev_weak_refinement_stability():
-    # s = 1 is stable under grid doubling; s = 2 puts all its weight on the
-    # second derivatives of the 1/10-width bump, which need far finer grids
-    psi = BumpSpec(radius=0.1)
-    c = CoeffMatrix({(0, 0): 1.0, (1, 1): -0.5})
-    v40 = sobolev_weak_norm(lattice_symbol(c, psi, 40), 1.0)
-    v80 = sobolev_weak_norm(lattice_symbol(c, psi, 80), 1.0)
-    assert abs(v80 - v40) / v40 < 0.05
-
-
-def test_sobolev_weak_single_mode_scaling():
-    # a pure grid exponential is scaled by (1 + 4 pi^2 |omega|^2)^(s/2) exactly
-    from bimult.bilinear import SymbolGrid
-
-    F, res = 8, 4
-    P = 2 * F + 1
-    x = (np.arange(-F, F + 1)) / res
-    freq = 8.0 * res / P  # exactly on the box's DFT frequency lattice
-    wave = np.exp(2j * np.pi * freq * x)
-    m = SymbolGrid(2, F, np.outer(wave, wave), spacing=1.0 / res)
-    s = 1.4
-    factor = (1.0 + 4.0 * np.pi**2 * 2.0 * freq**2) ** (s / 2.0)
-    assert sobolev_weak_norm(m, s) == pytest.approx(
-        factor * weak_quasinorm(m.measured(), 4.0), rel=1e-9
-    )
-
-
 # ---------------------------------------------------------------------------
 # counting and periodization
 
 
 def test_count_representations_small_cases():
     t = count_representations(range(3))
-    assert t.count(2) == 3
+    assert list(t.counts_1d) == [1, 2, 3, 2, 1]  # sums 0..4
     assert t.sum_squares() == 19
     assert count_representations(range(2)).sum_squares() == 6
 
@@ -506,7 +440,6 @@ def test_count_representations_separable_in_n():
     one_d = count_representations(range(5), n=1)
     two_d = count_representations(range(5), n=2)
     assert two_d.sum_squares() == one_d.sum_squares() ** 2
-    assert two_d.count((3, 4)) == one_d.count(3) * one_d.count(4)
 
 
 def test_periodization_sup_bounded_and_stable():
