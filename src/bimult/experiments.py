@@ -65,8 +65,9 @@ def _coerce_scalar(obj):
     raise TypeError(f"not JSON serializable: {type(obj)}")
 
 
-def canonical_json(obj) -> str:
-    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_coerce_scalar)
+def canonical_json(obj, allow_nan: bool = True) -> str:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"), default=_coerce_scalar,
+                      allow_nan=allow_nan)
 
 
 _INT64 = range(-(2**63), 2**63)  # the seeds and substream keys hashing accepts
@@ -108,17 +109,22 @@ class ExperimentRecord:
         return config_hash(self.config)
 
     def to_json_line(self) -> str:
-        # wall clock excluded: serialized records are byte-stable across reruns
-        return canonical_json(
-            {
-                "experimentName": self.experiment_name,
-                "configHash": self.config_hash,
-                "config": self.config,
-                "masterSeed": self.master_seed,
-                "perTrialResults": self.per_trial_results,
-                "summary": self.summary,
-            }
-        )
+        # wall clock excluded: serialized records are byte-stable across reruns;
+        # NaN and Infinity refused: they are not JSON, and a check passed on them says nothing
+        try:
+            return canonical_json(
+                {
+                    "experimentName": self.experiment_name,
+                    "configHash": self.config_hash,
+                    "config": self.config,
+                    "masterSeed": self.master_seed,
+                    "perTrialResults": self.per_trial_results,
+                    "summary": self.summary,
+                },
+                allow_nan=False,
+            )
+        except ValueError:
+            raise ValueError(f"{self.experiment_name} record holds NaN or Infinity") from None
 
     @classmethod
     def from_json_line(cls, line: str) -> "ExperimentRecord":
@@ -139,9 +145,9 @@ def _guard_overwrite(path, force: bool) -> None:
 
 def write_records(path, records, force: bool = False) -> None:
     _guard_overwrite(path, force)
+    lines = [rec.to_json_line() + "\n" for rec in records]  # all serialized before any is written
     with open(path, "w") as fh:
-        for rec in records:
-            fh.write(rec.to_json_line() + "\n")
+        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------
@@ -312,16 +318,19 @@ def _sign_pool_ratios(
     """Operator ratios ||T_m(f, f)||_1 / ||f||_2^2 of the first `pool` sign draws of a block.
 
     Draw d puts the signs of SignAssignment(cfg.block_seed(key, d)) on the
-    anti-diagonals l = j + k of cfg.interval(key), as the block builder does.
-    The all-plus block's output spectrum U, centered at `center` (None:
-    cfg.center(key)), comes once from `block_output_spectrum`, which sums each
-    zeta in ascending xi as `output_spectrum` does (its bincount adds in input
-    order, and the grid's zero samples would add only +-0), so no symbol grid
-    is built.  A draw is the sign mask eps_{l(zeta)} on U plus one synthesis.
-    That equals rebuilding the signed symbol bit for bit on every nonzero
-    value: bumps of radius <= 1/10 confine the output of cell (j, k) to within
-    0.2 of l = j + k (in lattice units before any dilation), so the windows of
-    distinct l are disjoint, and IEEE negation is exact.
+    anti-diagonals l = j + k of cfg.interval(key), as the block builder does:
+    one blake2b prefix of the packed seed per draw, copied and fed each l's 8
+    bytes, which hashes the same bytes as `_hash64(seed, l)` and so gives the
+    same sign bits.  The all-plus block's output spectrum U, centered at
+    `center` (None: cfg.center(key)), comes once from `block_output_spectrum`,
+    which sums each zeta in ascending xi as `output_spectrum` does (its
+    bincount adds in input order, and the grid's zero samples would add only
+    +-0), so no symbol grid is built.  A draw is the sign mask eps_{l(zeta)}
+    on U plus one synthesis.  That equals rebuilding the signed symbol bit for
+    bit on every nonzero value: bumps of radius <= 1/10 confine the output of
+    cell (j, k) to within 0.2 of l = j + k (in lattice units before any
+    dilation), so the windows of distinct l are disjoint, and IEEE negation is
+    exact.
 
     The draws go in blocks of _POOL_BLOCK, one zero-padded inverse FFT along
     the last axis per block; row d is `l1_norm(synthesize(u_d))` operation for
@@ -342,12 +351,13 @@ def _sign_pool_ratios(
 
     def ratios_for(first: int) -> list[float]:
         draws = range(first, min(first + _POOL_BLOCK, pool))
-        signs = np.array([list(_antidiagonal_signs(I, cfg.block_seed(key, d)).values())
-                          for d in draws], dtype=float)
+        signs = np.array([_antidiagonal_signs(I, cfg.block_seed(key, d)) for d in draws],
+                         dtype=float)
         padded = np.zeros((len(draws), P), dtype=complex)
         padded[:, box.frequencies() % P] = signs[:, diag] * U.values
-        samples = np.fft.ifft(padded, axis=-1) * P
-        return (np.abs(samples).sum(axis=-1) * box.cell_measure / (nf * nf)).tolist()
+        with np.errstate(over="ignore", invalid="ignore"):  # _growth_rows refuses inf and NaN
+            samples = np.fft.ifft(padded, axis=-1) * P
+            return (np.abs(samples).sum(axis=-1) * box.cell_measure / (nf * nf)).tolist()
 
     blocks = _map_ordered(ratios_for, range(0, pool, _POOL_BLOCK), threads)
     return [ratio for block in blocks for ratio in block]
@@ -368,6 +378,10 @@ def _growth_rows(
     rows = []
     for key in cfg.block_keys():
         ratios = _sign_pool_ratios(cfg, key, cfg.test_function(key), pool, threads)
+        bad = next((d for d, ratio in enumerate(ratios) if not np.isfinite(ratio)), None)
+        if bad is not None:
+            raise ValueError(f"block {key_name}={key}, sign draw {bad}: "
+                             f"operator ratio {ratios[bad]} is not finite")
         best = max(range(pool), key=lambda d: (ratios[d], -d))
         rows.append({key_name: key, "measured": ratios[best], "bestDraw": best})
     return rows

@@ -46,20 +46,30 @@ __all__ = [
 # deterministic signs
 
 
+def _pack64(key) -> bytes:
+    """key as 8 little-endian two's-complement bytes (it must fit, signed or unsigned)."""
+    key = operator.index(key)
+    if not -(2**63) <= key < 2**64:
+        raise ValueError(f"hash key {key} does not fit in 64 bits")
+    return (key % 2**64).to_bytes(8, "little")
+
+
 def _hash64(*keys: int) -> int:
-    """blake2b-64 digest, read little-endian, of the keys packed as 8 little-endian
-    two's-complement bytes each: the one derivation behind every seeded stream."""
-    raw = b""
-    for key in map(operator.index, keys):
-        if not -(2**63) <= key < 2**64:  # 8 bytes, signed or unsigned
-            raise ValueError(f"hash key {key} does not fit in 64 bits")
-        raw += (key % 2**64).to_bytes(8, "little")
+    """blake2b-64 digest, read little-endian, of the keys packed by _pack64 one after
+    another: the one derivation behind every seeded stream."""
+    raw = b"".join(map(_pack64, keys))
     return int.from_bytes(hashlib.blake2b(raw, digest_size=8).digest(), "little")
 
 
 @dataclass(frozen=True)
 class SignAssignment:
-    """Reproducible iid signs: same (seed, index) always gives the same sign."""
+    """Reproducible iid signs: same (seed, index) always gives the same sign.
+
+    The sign of index l is +1 when `_hash64(seed, *l)` is odd, else -1.  `signs`
+    gives the same bits for a range of ints at hash speed: the packed seed is
+    hashed once into a blake2b prefix, and each l copies that state and adds its
+    own 8 bytes, which digests exactly the bytes `_hash64(seed, l)` hashes.
+    """
 
     seed: int
 
@@ -67,26 +77,40 @@ class SignAssignment:
         idx = l if isinstance(l, tuple) else (int(l),)
         return 1 if _hash64(self.seed, *idx) & 1 else -1
 
+    def signs(self, ls: range) -> list[int]:
+        """[sign(l) for l in ls], bit for bit."""
+        copy = hashlib.blake2b(_pack64(self.seed), digest_size=8).copy
+        if ls:  # a range lies between its endpoints: checking those checks every l
+            _pack64(ls[0])
+            _pack64(ls[-1])
+        signs = []
+        for l in ls:
+            h = copy()
+            h.update((l % 2**64).to_bytes(8, "little"))
+            signs.append(1 if h.digest()[0] & 1 else -1)  # digest()[0] holds the low bit
+        return signs
+
 
 # ---------------------------------------------------------------------------
 # shell-monotone coefficient families
 
 
-def shell_rank(j: int, k: int) -> int:
-    """1-based position of (j, k) in the shell-then-lex ordering of Z^2."""
-    s = max(abs(j), abs(k))
-    if s == 0:
-        return 1
+def shell_rank(j, k):
+    """1-based position of (j, k) in the shell-then-lex ordering of Z^2.
+
+    j and k are ints (giving an int) or int64 arrays of one shape (giving an
+    int64 array); int64 is exact while max(|j|, |k|) < 2**30."""
+    j, k = np.asarray(j, dtype=np.int64), np.asarray(k, dtype=np.int64)
+    s = np.maximum(abs(j), abs(k))
     # inner shells, then the cells of shell s in rows before j (row -s is
     # full, rows strictly inside hold two cells), then row j up to column k
-    rank = (2 * s - 1) ** 2
-    if j == -s:
-        rank += k + s
-    elif j == s:
-        rank += (2 * s + 1) + 2 * (2 * s - 1) + k + s
-    else:
-        rank += (2 * s + 1) + 2 * (j + s - 1) + (1 if k == s else 0)
-    return rank + 1
+    in_shell = np.where(
+        j == -s, k + s,
+        np.where(j == s, (2 * s + 1) + 2 * (2 * s - 1) + k + s,
+                 (2 * s + 1) + 2 * (j + s - 1) + (k == s)),
+    )
+    rank = np.where(s == 0, 1, (2 * s - 1) ** 2 + in_shell + 1)
+    return rank if rank.ndim else int(rank)
 
 
 def _shell_order(M: int) -> list[tuple[int, int]]:
@@ -215,25 +239,23 @@ def lattice_symbol(
 # the counterexample block family
 
 
-def _antidiagonal_signs(I: range, seed: int | None) -> dict[int, int]:
-    """eps_l for every anti-diagonal l = j + k of I x I; all +1 when seed is None."""
+def _antidiagonal_signs(I: range, seed: int | None) -> list[int]:
+    """eps_l for the anti-diagonals l = j + k of I x I, in order from l = 2 I.start;
+    all +1 when seed is None."""
     ls = range(2 * I.start, 2 * I.stop - 1)
-    if seed is None:
-        return dict.fromkeys(ls, 1)
-    signs = SignAssignment(seed)
-    return {l: signs.sign(l) for l in ls}
+    return [1] * len(ls) if seed is None else SignAssignment(seed).signs(ls)
 
 
 class _BlockFamily:
     """The construction both counterexamples share.
 
-    Block `key` holds the coefficients eps_{j+k} * weight(key, j, k) on I x I,
-    I = interval(key): one sign per anti-diagonal, drawn from
-    SignAssignment(block_seed(key, draw)).  Its symbol puts a psi bump at each
-    (j, k) in coordinates centered at `center`, dilated by 2^-dilation(key);
-    its test function puts one phi_hat bump at each j in I.  A config supplies
-    block_keys, interval, center, weight and provenance, and a dilated family
-    its dilation.
+    Block `key` holds the coefficients eps_{j+k} * w_jk on I x I,
+    I = interval(key), with w = weights(key): one sign per anti-diagonal, drawn
+    from SignAssignment(block_seed(key, draw)).  Its symbol puts a psi bump at
+    each (j, k) in coordinates centered at `center`, dilated by
+    2^-dilation(key); its test function puts one phi_hat bump at each j in I.
+    A config supplies block_keys, interval, center, weights and provenance,
+    and a dilated family its dilation.
     """
 
     def block_seed(self, key: int, draw: int = 0) -> int:
@@ -241,11 +263,13 @@ class _BlockFamily:
         return _hash64(self.master_seed, key, draw)
 
     def block_entries(self, key: int, seed: int | None, center: int) -> dict:
-        """{(j - center, k - center): eps_{j+k} * weight}; seed None sets every sign +1."""
+        """{(j - center, k - center): eps_{j+k} * w_jk}; seed None sets every sign +1."""
         I = self.interval(key)
         eps = _antidiagonal_signs(I, seed)
+        cells = ((j, k) for j in I for k in I)  # j-major, as weights(key)
         return {
-            (j - center, k - center): eps[j + k] * self.weight(key, j, k) for j in I for k in I
+            (j - center, k - center): eps[j + k - 2 * I.start] * w
+            for (j, k), w in zip(cells, self.weights(key))
         }
 
     def dilation(self, key: int) -> int:
@@ -290,7 +314,7 @@ class _BlockFamily:
         I = self.interval(key)
         patch = _bump_patch(self.psi, r)
         w = patch.shape[0] // 2
-        v = np.array(list(self.block_entries(key, None, center).values()))  # j-major over I x I
+        v = np.array(self.weights(key))  # j-major over I x I; every sign +1 leaves w as it is
         m = 0.0 + v.reshape(len(I), 1, len(I), 1) * patch[:, None, :]  # m[j, a, k, b]
         m = m.reshape(len(I) * (2 * w + 1), -1)
         Fin = f.box.radius
@@ -367,9 +391,15 @@ class CounterexampleAConfig(_BlockFamily):
     def rho(self, K: int) -> int:
         return (4 * self.block_b[K - 1]) ** 2
 
-    def weight(self, K: int, j: int, k: int) -> float:
-        """Shell-monotone magnitude d_{j,k} = (shell-lex rank)^(-exponent)."""
-        return float(shell_rank(j, k)) ** (-self.dstar_exponent)
+    def weights(self, K: int) -> list[float]:
+        """Shell-monotone magnitudes d_{j,k} = (shell-lex rank)^(-exponent), j-major
+        over I_K x I_K.  The powers are Python's float pow, one rank at a time:
+        np.power rounds some ranks differently and turns overflow into inf."""
+        I = self.interval(K)
+        idx = np.arange(I.start, I.stop, dtype=np.int64)
+        ranks = shell_rank(idx[:, None], idx[None, :]).ravel().tolist()
+        exponent = -self.dstar_exponent
+        return [float(rank) ** exponent for rank in ranks]
 
     def provenance(self, K: int, seed: int | None, center: int) -> dict:
         # a block of the single lattice: recorded as the lattice symbol it is
@@ -457,8 +487,9 @@ class CounterexampleBConfig(_BlockFamily):
         """Default block center: the grids are built in coordinates centered here."""
         return self.offset(N) + self.side_count(N) // 2
 
-    def weight(self, N: int, j: int, k: int) -> float:
-        return self.amplitude(N)
+    def weights(self, N: int) -> list[float]:
+        """The amplitude on every cell of I_N x I_N."""
+        return [self.amplitude(N)] * self.side_count(N) ** 2
 
     def dilation(self, N: int) -> int:
         return N

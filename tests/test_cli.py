@@ -143,6 +143,17 @@ def test_experiment_rejects_configs_that_check_nothing(tmp_path, capsys, command
     assert not out.exists()
 
 
+def test_experiment_with_infinite_ratio_is_one_line_error(tmp_path, capsys):
+    # d*(t) = t^85 overflows the operator ratio of block 2: no record, no PASS
+    cfgp = tmp_path / "cfg.json"
+    cfgp.write_text(json.dumps({"dstar_exponent": -85, "block_b": [4, 16], "pool": 2}))
+    out = tmp_path / "out"
+    argv = ["experiment", "growth-A", "--config", str(cfgp), "--seed", "1", "--out", str(out)]
+    assert run(argv) == 1
+    assert _one_line_error(capsys, "not finite")
+    assert not out.exists()
+
+
 def test_experiment_byte_identical_across_workers(tmp_path):
     blobs = []
     for i, threads in enumerate((1, 4, 8)):

@@ -221,6 +221,39 @@ def test_experiment_rerun_byte_identical():
     assert len(lines) == 1
 
 
+@pytest.mark.parametrize(
+    "name, cfg",
+    [
+        pytest.param("growth-A", {"block_b": [4, 16], "pool": 37}, id="growth-A"),
+        pytest.param("growth-B", {"N": [1, 2], "pool": 37}, id="growth-B"),
+    ],
+)
+def test_growth_records_repeat_in_one_process(name, cfg):
+    # nothing a pass leaves behind, and nothing the two pool threads share,
+    # may change a byte: two passes at 2 threads, then one at 1 thread
+    lines = [run_experiment(name, cfg, MASTER_SEED, t).to_json_line() for t in (2, 2, 1)]
+    assert lines[0] == lines[1] == lines[2]
+    assert json.loads(lines[0])["summary"]["passed"]
+
+
+def test_growth_refuses_a_non_finite_ratio():
+    cfg = {"dstar_exponent": -85, "block_b": [4, 16], "pool": 2}
+    with pytest.raises(ValueError, match=r"block K=2, sign draw 0: .* not finite"):
+        run_experiment("growth-A", cfg, master_seed=1)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_record_with_nan_or_infinity_is_refused(tmp_path, value):
+    good = run_experiment("counting", {"M": [2]}, master_seed=1)
+    bad = ExperimentRecord("growth-A", {}, 1, [{"measured": value}], {"passed": True}, 0.0)
+    with pytest.raises(ValueError, match="growth-A record holds NaN or Infinity"):
+        bad.to_json_line()
+    path = tmp_path / "out.jsonl"
+    with pytest.raises(ValueError, match="NaN or Infinity"):
+        write_records(path, [good, bad])
+    assert not path.exists()  # every line is serialized before the file is opened
+
+
 def test_unknown_experiment_rejected():
     with pytest.raises(KeyError):
         run_experiment("bogus", {}, 0)

@@ -1,5 +1,6 @@
 """Symbol generators, shell sequences, dyadic cutoffs, and counting."""
 
+import functools
 import hashlib
 import struct
 
@@ -78,6 +79,10 @@ def test_shell_rank_matches_enumeration():
         assert shell_rank(k, l) == rank
     for rank, (k, l) in enumerate(_shell_order(40), start=1):
         assert shell_rank(k, l) == rank
+    # the same formula on int64 arrays, one rank per cell
+    kl = np.array(_shell_order(40), dtype=np.int64)
+    ranks = shell_rank(kl[:, 0], kl[:, 1])
+    assert ranks.dtype == np.int64 and ranks.tolist() == list(range(1, len(kl) + 1))
 
 
 def test_power_shell_sequence_is_shell_monotone():
@@ -115,6 +120,75 @@ def test_hash64_matches_each_hand_packed_derivation():
         with pytest.raises(ValueError, match="64 bits"):
             _hash64(0, key)
     assert _hash64(2**64 - 1) == _hash64(-1)  # the same 8 bytes
+
+
+_SIGN_SEEDS = (0, -1, 2**63 - 1, 2**64 - 1, 123456789)
+
+
+@pytest.mark.parametrize("seed", _SIGN_SEEDS)
+@pytest.mark.parametrize(
+    "ls",
+    [
+        pytest.param(range(-40, 41), id="crossing-0"),
+        pytest.param(range(-(2**63), -(2**63) + 20), id="from-min-int64"),
+        pytest.param(range(2**63 - 20, 2**63), id="to-max-int64"),
+        pytest.param(range(2**63 - 3, 2**63 + 3), id="crossing-2**63"),
+        pytest.param(range(2**64 - 5, 2**64), id="to-max-uint64"),
+        pytest.param(range(8, 263), id="block-128-antidiagonals"),
+        pytest.param(range(5, 5), id="empty"),
+    ],
+)
+def test_batched_signs_match_hash64(seed, ls):
+    # oracle: one full _hash64 per index, as sign() computes it
+    expected = [1 if _hash64(seed, l) & 1 else -1 for l in ls]
+    assert SignAssignment(seed).signs(ls) == expected
+
+
+@pytest.mark.parametrize(
+    "seed, ls, bad",
+    [
+        pytest.param(2**64, range(3), 2**64, id="seed-above-uint64"),
+        pytest.param(-(2**63) - 1, range(3), -(2**63) - 1, id="seed-below-int64"),
+        pytest.param(2**64, range(0), 2**64, id="seed-above-uint64-empty-range"),
+        pytest.param(0, range(-(2**63) - 1, -(2**63) + 2), -(2**63) - 1, id="start-below-int64"),
+        pytest.param(0, range(2**64 - 2, 2**64 + 1), 2**64, id="last-above-uint64"),
+    ],
+)
+def test_batched_signs_refuse_keys_outside_64_bits(seed, ls, bad):
+    with pytest.raises(ValueError, match="64 bits") as hashed:
+        _hash64(seed, bad)
+    with pytest.raises(ValueError, match="64 bits") as batched:
+        SignAssignment(seed).signs(ls)
+    assert str(batched.value) == str(hashed.value)
+
+
+_WEIGHT_BLOCKS = (1, 4, 16, 64, 256)
+
+
+@functools.cache
+def _scalar_ranks(b: int) -> list[int]:
+    return [shell_rank(j, k) for j in range(b, 2 * b) for k in range(b, 2 * b)]
+
+
+@pytest.mark.parametrize("exponent", [0.125, 0.3, 1 / 3])
+def test_block_A_weights_match_python_pow_oracle(exponent):
+    # weights() takes its ranks from int64 arrays but its powers from Python's
+    # float pow, as the per-cell oracle does.  np.power is not a substitute: on an
+    # AVX-512 host it differed from Python pow on 12,166 of the first 200,000
+    # ranks at exponent 0.125, and it turns an overflow into inf where Python
+    # pow raises OverflowError.
+    cfg = CounterexampleAConfig(block_b=_WEIGHT_BLOCKS, dstar_exponent=exponent, master_seed=0)
+    for K, b in enumerate(_WEIGHT_BLOCKS, start=1):
+        expected = [float(rank) ** -exponent for rank in _scalar_ranks(b)]
+        got = cfg.weights(K)
+        assert all(type(w) is float for w in got)
+        assert [w.hex() for w in got] == [w.hex() for w in expected]
+
+
+def test_block_weights_overflow_raises():
+    cfg = CounterexampleAConfig(block_b=(64,), dstar_exponent=-200, master_seed=0)
+    with pytest.raises(OverflowError):
+        cfg.weights(1)
 
 
 def test_counterexample_A_single_cell():
