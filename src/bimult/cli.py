@@ -12,7 +12,6 @@ import argparse
 import contextlib
 import csv
 import glob as globmod
-import itertools
 import json
 import os
 import struct
@@ -21,7 +20,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bilinear import SymbolGrid, _input_norms, stream_output_spectrum
+from .bilinear import SymbolGrid, _all_finite, _input_norms, stream_output_spectrum
 from .bumps import BumpSpec
 from .experiments import (
     EXPERIMENTS,
@@ -128,8 +127,7 @@ def _open_symbol(path: str):
                 chunk = buf[: part.stop - part.start]
                 if fh.readinto(chunk) != chunk.nbytes:
                     raise ValueError(f"{path}: data block ends early")
-                parts = chunk.view(np.float32)  # max and min carry any NaN, +inf or -inf
-                if not (np.isfinite(parts.max()) and np.isfinite(parts.min())):
+                if not _all_finite(chunk):
                     raise ValueError(f"{path}: non-finite symbol sample")
                 yield chunk.reshape((-1,) + row_shape)
 
@@ -233,8 +231,7 @@ def _cmd_apply(args) -> int:
         with open(args.g) as fh:
             g = spectral_from_json(fh.read())
         norms = _input_norms(f, g)
-        rows = itertools.chain.from_iterable(chunks)
-        u = stream_output_spectrum(rows, dim // 2, radius, spacing, f, g)
+        u = stream_output_spectrum(chunks, dim // 2, radius, spacing, f, g)
     l1 = l1_norm(synthesize(u))
     ratio = l1 / norms  # operator_ratio(read_symbol(path), f, g), streamed
     if args.out:

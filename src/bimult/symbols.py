@@ -306,7 +306,7 @@ class _BlockFamily:
         (j, a, k, b) order.  bincount adds in input order, and disjoint bumps make
         R ascend in that order, so every zeta sums its terms in ascending xi, as
         `output_spectrum` does.  The grid's zero samples add only +-0 there,
-        which changes no sum.
+        which changes no sum (the argument is in `bilinear._accumulate`).
         """
         center, F = self._layout(key, center)
         r = self.resolution

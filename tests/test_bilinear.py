@@ -2,8 +2,18 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from bimult.bilinear import SymbolGrid, apply_bilinear, operator_ratio
+import bimult.cli
+from bimult.bilinear import (
+    SymbolGrid,
+    apply_bilinear,
+    operator_ratio,
+    output_spectrum,
+    stream_output_spectrum,
+)
+from bimult.cli import _open_symbol, write_symbol
 from bimult.grid import (
     FrequencyBox,
     SpectralVector,
@@ -127,3 +137,120 @@ def test_zero_input_ratio_rejected():
     z = SpectralVector(f.box, np.zeros_like(f.values))
     with pytest.raises(ValueError):
         operator_ratio(ones_symbol(4), f, z)
+
+
+@pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")), complex(float("-inf"), 1)],
+                         ids=["nan", "inf-imag", "minus-inf-real"])
+@pytest.mark.parametrize("layout", ["c-order", "fortran", "strided"])
+def test_symbol_grid_refuses_non_finite_values(bad, layout):
+    values = np.ones((9, 18), dtype=complex)
+    values[4, 6] = bad
+    values = {"c-order": values[:, :9].copy(), "fortran": np.asfortranarray(values[:, :9]),
+              "strided": values[:, ::2]}[layout]
+    with pytest.raises(ValueError, match="symbol values must be finite"):
+        SymbolGrid(2, 4, values)
+
+
+def test_symbol_grid_keeps_strided_values():
+    values = np.arange(162.0).reshape(9, 18) * (1 - 0.5j)
+    m = SymbolGrid(2, 4, values[:, ::2].T)
+    assert m.values.flags.c_contiguous
+    assert np.array_equal(m.values, values[:, ::2].T)
+
+
+# ---------------------------------------------------------------------------
+# the operator skips a symbol's all-zero xi-rows without changing a bit
+
+
+def _per_row_spectrum(block, f, g):
+    """Oracle: the accumulation loop as it was before all-zero rows were skipped.
+
+    Every xi-row of the band block with f(xi) != 0 adds its term, in
+    row-major order, through one reused term buffer.
+    """
+    F = f.box.radius
+    u = np.zeros((4 * F + 1,) * f.box.dim, dtype=complex)
+    gv = g.values
+    term = np.empty_like(gv)
+    for xi in np.ndindex(*f.box.lattice_shape):
+        fval = f.values[xi]
+        if fval == 0:
+            continue
+        target = u[tuple(slice(i, i + 2 * F + 1) for i in xi)]
+        np.multiply(fval, block[xi], out=term, dtype=complex)
+        np.multiply(term, gv, out=term)
+        np.add(target, term, out=target)
+    return u
+
+
+def _assert_same_bits(u, oracle):
+    assert np.array_equal(u, oracle)
+    for part in ("real", "imag"):
+        assert np.array_equal(np.signbit(getattr(u, part)), np.signbit(getattr(oracle, part)))
+
+
+ROW_KINDS = ("zero", "zero-in-band", "negative-zero", "dense")
+
+
+@st.composite
+def zero_row_cases(draw):
+    """(n, radius, F, row kinds, rows per file chunk, Fortran-ordered input, seed)."""
+    n = draw(st.sampled_from([1, 2]))
+    radius = draw(st.integers(1, 5 if n == 1 else 3))
+    F = draw(st.integers(1, radius))
+    rows = (2 * radius + 1) ** n
+    kinds = draw(st.lists(st.sampled_from(ROW_KINDS), min_size=rows, max_size=rows))
+    return n, radius, F, kinds, draw(st.integers(1, 4)), draw(st.booleans()), draw(
+        st.integers(0, 2**32 - 1))
+
+
+def _rows_of_kinds(rng, n, radius, F, kinds):
+    """complex64 symbol on {-radius..radius}^{2n} whose xi-row k is of kind kinds[k]."""
+    side = 2 * radius + 1
+    rows = np.zeros((side**n,) + (side,) * n, dtype=np.complex64)
+    outside = np.ones((side,) * n, dtype=bool)
+    outside[(slice(radius - F, radius + F + 1),) * n] = False
+    for row, kind in zip(rows, kinds):
+        noise = rng.standard_normal(row.shape) + 1j * rng.standard_normal(row.shape)
+        if kind == "zero-in-band":  # nonzero only outside f's band (all zero if F == radius)
+            row[outside] = noise[outside]
+        elif kind == "negative-zero":  # every part +-0, some -0: nonzero bits, a kept row
+            row.real[rng.random(row.shape) < 0.5] = -0.0
+            row.imag[rng.random(row.shape) < 0.5] = -0.0
+        elif kind == "dense":  # with some zero and -0.0 samples among the others
+            row[...] = noise
+            row[rng.random(row.shape) < 0.2] = 0
+            row.real[rng.random(row.shape) < 0.1] = -0.0
+    return rows.reshape((side,) * (2 * n))
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=zero_row_cases())
+# nonzero rows 1 and 2 fall in two file chunks of two rows each
+@example(case=(1, 3, 2, ["zero", "dense", "dense", "zero", "negative-zero", "zero", "zero"],
+               2, False, 0))
+def test_zero_row_skip_is_bit_exact(tmp_path_factory, case):
+    n, radius, F, kinds, chunk_rows, fortran, seed = case
+    rng = np.random.default_rng(seed)
+    values = _rows_of_kinds(rng, n, radius, F, kinds)
+    m = SymbolGrid(2 * n, radius, np.asfortranarray(values) if fortran else values, 0.5)
+    box = FrequencyBox(n, F, 2, 2.0)
+    shape = box.lattice_shape
+    f_vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    f_vals[rng.random(shape) < 0.3] = 0
+    f = SpectralVector(box, f_vals)
+    g = SpectralVector(box, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    oracle = _per_row_spectrum(m.values[(slice(radius - F, radius + F + 1),) * (2 * n)], f, g)
+    _assert_same_bits(output_spectrum(m, f, g).values, oracle)
+
+    path = str(tmp_path_factory.mktemp("zero-rows") / "s.bin")
+    write_symbol(path, m, {})  # complex64 samples: the file holds values' bits
+    side = 2 * radius + 1
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bimult.cli, "_CHUNK", chunk_rows * side**n)
+        with _open_symbol(path) as (dim, r, spacing, chunks):
+            sizes = []
+            u = stream_output_spectrum((sizes.append(len(c)) or c for c in chunks),
+                                       n, r, spacing, f, g)
+    assert sum(sizes) == side**n and max(sizes) == min(chunk_rows, side**n)
+    _assert_same_bits(u.values, oracle)

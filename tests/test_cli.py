@@ -9,6 +9,7 @@ import sys
 import numpy as np
 import pytest
 
+import bimult.bilinear
 import bimult.cli
 from bimult.bilinear import SymbolGrid, apply_bilinear, operator_ratio, output_spectrum
 from bimult.cli import read_symbol, run, write_symbol
@@ -404,6 +405,50 @@ def test_apply_refuses_non_finite_sample_outside_input_box(tmp_path, capsys, xi,
     capsys.readouterr()
     assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath]) == 1
     assert _one_line_error(capsys, naming=sym)
+
+
+@pytest.mark.parametrize("xi", [25, 2], ids=["row-in-band", "row-outside-band"])
+def test_apply_refuses_nan_alone_in_zero_row(tmp_path, capsys, xi):
+    # inputs of radius 12 use the rows 8..32 of the radius-20 lattice symbol;
+    # row xi is all zero, so the NaN is the only nonzero sample of its row
+    sym, (fpath, gpath) = _apply_inputs(
+        tmp_path, lambda rng, n: rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    )
+    assert not any(read_symbol(sym).values[xi].tobytes())
+    with open(sym, "r+b") as fh:
+        fh.seek(24 + 8 * (41 * xi + 20))
+        fh.write(struct.pack("<ff", float("nan"), 0.0))
+    capsys.readouterr()
+    assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath]) == 1
+    assert _one_line_error(capsys, naming=sym)
+
+
+def test_all_zero_rows_never_reach_the_term_buffer(tmp_path, monkeypatch):
+    # the lattice symbol is zero but for its two bumps' rows; f has no zero entry
+    sym, (fpath, gpath) = _apply_inputs(tmp_path, lambda rng, n: rng.standard_normal(n) + 1j)
+    m = read_symbol(sym)
+    f = spectral_from_json(open(fpath).read())
+    g = spectral_from_json(open(gpath).read())
+    band = m.values[8:33, 8:33]
+    nonzero = [(i,) for i in range(25) if np.any(band[i])]
+    assert len(nonzero) == 2 and np.count_nonzero(m.values) == np.count_nonzero(band)
+    real = bimult.bilinear._accumulate
+    drawn = []
+
+    def spy(rows, f, g):
+        def recorded():
+            for xi, row in rows:
+                drawn.append((xi, any(row.tobytes())))
+                yield xi, row
+        return real(recorded(), f, g)
+
+    monkeypatch.setattr(bimult.bilinear, "_accumulate", spy)
+    expected = [(xi, True) for xi in nonzero]
+    output_spectrum(m, f, g)
+    assert drawn == expected
+    drawn.clear()
+    assert run(["apply", "--symbol", sym, "--f", fpath, "--g", gpath]) == 0
+    assert drawn == expected
 
 
 @pytest.mark.parametrize("index", [0, 801**2 - 1], ids=["first-chunk", "last-chunk"])
