@@ -156,17 +156,17 @@ def output_spectrum(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> Spec
 
 
 def stream_output_spectrum(
-    chunks: Iterable[np.ndarray], n: int, radius: int, spacing: float,
+    chunks: Iterable[tuple[np.ndarray, np.ndarray]], n: int, radius: int, spacing: float,
     f: SpectralVector, g: SpectralVector,
 ) -> SpectralVector:
     """`output_spectrum` of a symbol given as chunks of its xi-rows instead of a SymbolGrid.
 
-    chunks yields C-contiguous arrays shaped (rows,) + (2 radius + 1,) * n: the
-    eta-samples m(xi, .) for every xi of {-radius..radius}^n in row-major
-    order, a few rows at a time.  f and g are checked against (n, radius,
-    spacing) before the first chunk is drawn; every chunk is drawn, and the
-    rows outside f's band or all zero are skipped.  The result equals, bit
-    for bit, `output_spectrum` on the SymbolGrid of these rows.
+    chunks yields pairs (rows, _nonzero_rows(rows, n)), rows C-contiguous and shaped
+    (rows,) + (2 radius + 1,) * n: the eta-samples m(xi, .) for every xi of
+    {-radius..radius}^n in row-major order, a few rows at a time.  f and g are checked
+    against (n, radius, spacing) before the first chunk is drawn; every chunk is drawn,
+    and the rows outside f's band or all zero are skipped.  The result equals, bit for
+    bit, `output_spectrum` on the SymbolGrid of these rows.
     """
     _check_compat(n, radius, spacing, f, g)
     F = f.box.radius
@@ -179,8 +179,8 @@ def stream_output_spectrum(
 
     def band_rows():
         start = 0
-        for chunk in chunks:
-            for k in np.flatnonzero(_nonzero_rows(chunk, n)).tolist():
+        for chunk, nonzero in chunks:
+            for k in np.flatnonzero(nonzero).tolist():
                 xi = wanted.get(start + k)
                 if xi is not None:
                     yield xi, chunk[k][band]

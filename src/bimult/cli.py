@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import glob as globmod
 import json
 import os
@@ -20,7 +21,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bilinear import SymbolGrid, _all_finite, _input_norms, stream_output_spectrum
+from .bilinear import SymbolGrid, _all_finite, _input_norms, _nonzero_rows, stream_output_spectrum
 from .bumps import BumpSpec
 from .experiments import (
     EXPERIMENTS,
@@ -91,8 +92,9 @@ def _open_symbol(path: str):
 
     Yields (dim, radius, spacing, chunks).  `chunks` streams the samples as
     complex64 arrays of whole xi-rows, shaped (rows,) + (2 radius + 1,) * n
-    for dim = 2n, through one reused buffer of about _CHUNK samples; each
-    chunk is checked finite before it is handed on.
+    for dim = 2n, through one reused buffer of about _CHUNK samples, each with
+    its `_nonzero_rows`; a row whose bits are all zero is finite, so only the
+    other rows of a chunk are checked finite before it is handed on.
     """
     with open(path, "rb") as fh:
         head = fh.read(_HEADER_BYTES)
@@ -124,12 +126,13 @@ def _open_symbol(path: str):
         def chunks():
             buf = np.empty(min(count, max(1, _CHUNK // row_size) * row_size), dtype=_VALUE_TYPE)
             for part in _chunks(count, buf.size):
-                chunk = buf[: part.stop - part.start]
+                chunk = buf[: part.stop - part.start].reshape((-1,) + row_shape)
                 if fh.readinto(chunk) != chunk.nbytes:
                     raise ValueError(f"{path}: data block ends early")
-                if not _all_finite(chunk):
+                nonzero = _nonzero_rows(chunk, dim // 2)
+                if not _all_finite(chunk[nonzero]):
                     raise ValueError(f"{path}: non-finite symbol sample")
-                yield chunk.reshape((-1,) + row_shape)
+                yield chunk, nonzero
 
         yield dim, radius, spacing, chunks()
 
@@ -140,7 +143,7 @@ def read_symbol(path: str) -> SymbolGrid:
         values = np.empty((2 * radius + 1,) * dim, dtype=complex)
         rows = values.reshape((-1,) + values.shape[dim // 2:])
         start = 0
-        for chunk in chunks:
+        for chunk, _ in chunks:
             rows[start : start + len(chunk)] = chunk
             start += len(chunk)
     # header and every chunk are checked: skip SymbolGrid's second scan of all samples
@@ -323,6 +326,7 @@ def _cmd_report(args) -> int:
     return 0
 
 
+@functools.cache  # built once per process: parse_args leaves the parser unchanged
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bimult",

@@ -487,15 +487,10 @@ def _corpus_symbol(f_mode: str, rng, resolution: int):
     if f_mode in ("lattice", "besov"):
         keep = rng.random((2 * M + 1, 2 * M + 1)) < 0.3
         vals = rng.standard_normal(keep.shape) + 1j * rng.standard_normal(keep.shape)
-        entries = {
-            (k - M, l - M): vals[k, l]
-            for k in range(2 * M + 1)
-            for l in range(2 * M + 1)
-            if keep[k, l]
-        }
-        if not entries:
-            entries[(0, 0)] = 1.0 + 0.0j
-        c = CoeffMatrix(entries)
+        if not keep.any():  # never empty: then the unit coefficient at the origin
+            keep[M, M], vals[M, M] = True, 1.0
+        k, l = np.nonzero(keep)  # row-major
+        c = CoeffMatrix._of(k - M, l - M, vals[keep])
         m = lattice_symbol(c, _CORPUS_PSI, resolution)
         norm = c.weak4() if f_mode == "lattice" else besov_norm(m)
         return m, norm

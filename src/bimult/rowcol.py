@@ -11,137 +11,167 @@ obstruction for shell-monotone families that fail the weak-l4 condition.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 import numpy as np
 
 from .grid import _loads_finite, _number_columns
 from .lorentz import MeasuredValues, weak_quasinorm
 
-__all__ = [
-    "CoeffMatrix",
-    "Partition",
-    "decompose",
-    "verify_partition",
-    "necessity_lower_bound",
-]
+__all__ = ["CoeffMatrix", "Partition", "decompose", "verify_partition", "necessity_lower_bound"]
 
 S1 = "S1"
 S2 = "S2"
+_FEW_LINES = 8  # lines still open when `_line_scan` stops stepping
 
 
-@dataclass(frozen=True)
+def _int64(columns) -> np.ndarray:
+    """The key columns k and l as one (2, n) int64 array; a ValueError outside int64."""
+    try:
+        return np.array(list(columns) or [(), ()], dtype=np.int64)
+    except OverflowError:
+        raise ValueError("coefficient keys must lie in signed 64-bit") from None
+
+
 class CoeffMatrix:
-    """Finitely supported map (k, l) -> complex; unstored entries are zero."""
+    """Finitely supported map (k, l) -> complex; unstored entries are zero.  Held as
+    arrays in entry order: int64 keys `k` and `l`, complex128 values `v`; `entries`
+    builds the {(k, l): v} dict on demand."""
 
-    entries: dict = field(repr=False)
+    __slots__ = ("k", "l", "v")
 
-    def __post_init__(self):
-        clean = {(int(k), int(l)): complex(v) for (k, l), v in self.entries.items()}
-        object.__setattr__(self, "entries", clean)
+    def __init__(self, entries: dict):
+        clean = {(int(k), int(l)): complex(v) for (k, l), v in entries.items()}
+        self.k, self.l = _int64(zip(*clean))
+        self.v = np.array(list(clean.values()), dtype=complex)
+
+    @classmethod
+    def _of(cls, k: np.ndarray, l: np.ndarray, v: np.ndarray) -> "CoeffMatrix":
+        """From int64 keys without repeats and complex128 values, taken as they are."""
+        c = object.__new__(cls)
+        c.k, c.l, c.v = k, l, v
+        return c
+
+    @property
+    def entries(self) -> dict:
+        return dict(zip(zip(self.k.tolist(), self.l.tolist()), self.v.tolist()))
 
     def weak4(self) -> float:
         """l^{4,inf} quasinorm of the coefficient family (counting measure)."""
-        vals = np.array(list(self.entries.values())) if self.entries else np.array([])
-        return weak_quasinorm(MeasuredValues.of(vals), 4.0)
+        return weak_quasinorm(MeasuredValues.of(self.v), 4.0)
 
     def scaled(self, c: complex) -> "CoeffMatrix":
-        return CoeffMatrix({kl: c * v for kl, v in self.entries.items()})
+        return CoeffMatrix._of(self.k, self.l, c * self.v)
 
     def to_json(self) -> str:
-        rows = [
-            [k, l, v.real, v.imag]
-            for (k, l), v in sorted(self.entries.items())
-        ]
-        return json.dumps(rows)
+        o = np.lexsort((self.l, self.k))  # (k, l) order, as sorted() gives
+        rows = zip(self.k[o].tolist(), self.l[o].tolist(), self.v[o].tolist())
+        return json.dumps([[k, l, v.real, v.imag] for k, l, v in rows])
 
     @classmethod
     def from_json(cls, text: str) -> "CoeffMatrix":
         """Inverse of `to_json`: [k, l, re, im] rows, each (k, l) at most once.  k and l
-        are JSON ints; re and im are finite numbers as `grid.spectral_from_json` accepts."""
+        are JSON ints in signed 64-bit; re and im are finite numbers as
+        `grid.spectral_from_json` accepts."""
         refusal = "coefficient JSON must be a list of [int, int, finite number, finite number] rows"
         cols = _number_columns(_loads_finite(text, refusal), 4, n_int=2)
         if cols is None:
             raise ValueError(refusal)
-        k, l, re, im = cols
-        entries = dict(zip(zip(k, l), map(complex, re, im)))
-        if len(entries) != len(k):
+        k, l = _int64(cols[:2])
+        o = np.lexsort((l, k))
+        if np.any((k[o][1:] == k[o][:-1]) & (l[o][1:] == l[o][:-1])):
             raise ValueError("coefficient JSON repeats a (k, l) key")
-        c = object.__new__(cls)  # entries are (int, int) -> complex already: no __post_init__
-        c.__dict__["entries"] = entries
-        return c
+        v = np.array(cols[2:], dtype=float).T.copy().view(complex).reshape(-1)
+        return cls._of(k, l, v)
 
 
-@dataclass(frozen=True)
 class Partition:
-    """Disjoint S1/S2 labeling of a support set."""
+    """Disjoint S1/S2 labeling of a support set: int64 keys `k`, `l` and a bool `s1`
+    per cell (False for S2).  `labels` builds the {(k, l): label} dict on demand."""
 
-    labels: dict = field(repr=False)
+    __slots__ = ("k", "l", "s1")
 
-    def __post_init__(self):
-        for lab in self.labels.values():
+    def __init__(self, labels: dict):
+        for lab in labels.values():
             if lab not in (S1, S2):
                 raise ValueError(f"invalid label {lab!r}")
+        self.k, self.l = _int64(zip(*((int(k), int(l)) for k, l in labels)))
+        self.s1 = np.array([lab == S1 for lab in labels.values()], dtype=bool)
+
+    @classmethod
+    def _of(cls, k: np.ndarray, l: np.ndarray, s1: np.ndarray) -> "Partition":
+        p = object.__new__(cls)
+        p.k, p.l, p.s1 = k, l, s1
+        return p
+
+    @property
+    def labels(self) -> dict:
+        return dict(zip(zip(self.k.tolist(), self.l.tolist()), np.where(self.s1, S1, S2).tolist()))
 
     def to_json(self) -> str:
-        rows = [[k, l, lab] for (k, l), lab in sorted(self.labels.items())]
-        return json.dumps(rows)
+        o = np.lexsort((self.l, self.k))
+        rows = zip(self.k[o].tolist(), self.l[o].tolist(), self.s1[o].tolist())
+        # json.dumps's bytes: ints print as repr, and the labels need no escapes
+        return "[" + ", ".join([f'[{k}, {l}, "{S1 if s else S2}"]' for k, l, s in rows]) + "]"
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
         return cls({(k, l): lab for k, l, lab in json.loads(text)})
 
 
-def _greedy_lines(entries, by_row: bool):
-    """Cells selected per line by the row (or column) greedy pass.
+def _lines(line: np.ndarray):
+    """(order, starts, lengths): `order` groups the positions by line index, ascending,
+    each line's cells in entry order; line i is order[starts[i] : starts[i] + lengths[i]]."""
+    order = np.argsort(line, kind="stable")
+    _, starts, lengths = np.unique(line[order], return_index=True, return_counts=True)
+    return order, starts, lengths
 
-    A line with square-sum <= 2 joins wholesale.  Otherwise the minimal
-    descending-magnitude prefix reaching square-sum 2 is taken; the prefix
-    mass is then at most 1 + 2 = 3 since all magnitudes are <= 1.
-    Stored zero entries join as well (they carry no mass).
+
+def _line_scan(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
+    """(sum before each term, total) of each line x[starts[i] : starts[i] + lengths[i]],
+    added left to right from 0.0 as `sum` and `acc += x` add (np.sum adds pairwise).
+    Step p adds the p-th term of every line longer than p, in O(len(x)) memory; the
+    last _FEW_LINES lines still open finish with one sequential np.cumsum each."""
+    by_length = np.argsort(lengths, kind="stable")
+    st, ln = starts[by_length], lengths[by_length]
+    acc, before = np.zeros(len(ln)), np.empty_like(x)
+    p = m = 0  # lines m, m + 1, ... of `ln` are longer than p
+    while len(ln) - m > _FEW_LINES:
+        at = st[m:] + p
+        before[at] = acc[m:]
+        acc[m:] += x[at]
+        p += 1
+        m = np.searchsorted(ln, p, side="right")
+    for i in range(m, len(ln)):
+        rest = slice(st[i] + p, st[i] + ln[i])
+        run = np.cumsum(np.r_[acc[i], x[rest]])
+        before[rest], acc[i] = run[:-1], run[-1]
+    total = np.empty_like(acc)
+    total[by_length] = acc
+    return before, total
+
+
+def _line_pass(line: np.ndarray, other: np.ndarray, mag: np.ndarray, sq: np.ndarray):
+    """(chosen, rank) per cell of the greedy pass along rows (line = k) or columns.
+
+    A line with square-sum <= 2 is chosen wholesale, else its minimal prefix by
+    descending magnitude (ties by `other`) reaching square-sum 2, of mass at most
+    1 + 2 = 3 as magnitudes are <= 1; stored zeros are chosen too (they carry no mass).
+    `rank` is the 1-based rank of the cell's line by its largest unchosen magnitude,
+    descending, ties by line index; it is read only where that maximum is positive.
     """
-    lines: dict = {}
-    for (k, l), v in entries.items():
-        key, other = (k, l) if by_row else (l, k)
-        lines.setdefault(key, []).append((other, abs(v)))
-    selected = set()
-    for key, cells in lines.items():
-        total = sum(mag * mag for _, mag in cells)
-        if total <= 2.0:
-            chosen = [other for other, _ in cells]
-        else:
-            ranked = sorted(cells, key=lambda c: (-c[1], c[0]))
-            chosen = []
-            acc = 0.0
-            for other, mag in ranked:
-                if acc >= 2.0:
-                    break
-                chosen.append(other)
-                acc += mag * mag
-            chosen += [other for other, mag in cells if mag == 0.0 and other not in chosen]
-        for other in chosen:
-            selected.add((key, other) if by_row else (other, key))
-    return selected
-
-
-def _residual_ranks(entries, excluded, by_row: bool):
-    """Rank lines by their residual maximum magnitude, descending, ties by index.
-
-    Returns {line index -> rank i (1-based)} for lines with positive residual max.
-    """
-    residual_max: dict = {}
-    for (k, l), v in entries.items():
-        if (k, l) in excluded:
-            continue
-        key = k if by_row else l
-        mag = abs(v)
-        if mag > residual_max.get(key, 0.0):
-            residual_max[key] = mag
-    order = sorted(
-        (key for key, mag in residual_max.items() if mag > 0.0),
-        key=lambda key: (-residual_max[key], key),
-    )
-    return {key: i + 1 for i, key in enumerate(order)}
+    order, starts, lengths = _lines(line)
+    whole = _line_scan(sq[order], starts, lengths)[1] <= 2.0
+    ranked = np.lexsort((other, -mag, line))
+    chosen = np.empty(len(line), dtype=bool)
+    chosen[ranked] = _line_scan(sq[ranked], starts, lengths)[0] < 2.0
+    chosen[order[np.repeat(whole, lengths)]] = True
+    chosen |= mag == 0.0
+    top = np.maximum.reduceat(np.where(chosen, 0.0, mag)[order], starts)
+    line_rank = np.empty(len(starts), dtype=np.int64)  # lines ascend: stable ties by index
+    line_rank[np.argsort(-top, kind="stable")] = np.arange(1, len(starts) + 1)
+    rank = np.empty(len(line), dtype=np.int64)
+    rank[order] = np.repeat(line_rank, lengths)
+    return chosen, rank
 
 
 def decompose(f: CoeffMatrix) -> Partition:
@@ -150,47 +180,33 @@ def decompose(f: CoeffMatrix) -> Partition:
     The input is normalized to unit weak-l4 quasinorm first, so the output
     partition is scale invariant (up to index-based tie-breaking).
     """
-    if not f.entries:
-        return Partition({})
     norm = f.weak4()
-    if norm == 0.0:
-        # all-zero support: any labeling works, put everything in S1
-        return Partition({kl: S1 for kl in f.entries})
-    entries = {kl: v / norm for kl, v in f.entries.items()}
+    if norm == 0.0:  # empty or all-zero support: any labeling works, all in S1
+        return Partition._of(f.k, f.l, np.ones(len(f.v), dtype=bool))
+    mag = np.hypot(f.v.real / norm, f.v.imag / norm)  # abs(v / norm), bit for bit
+    sq = mag * mag
+    row_chosen, row_rank = _line_pass(f.k, f.l, mag, sq)
+    col_chosen, col_rank = _line_pass(f.l, f.k, mag, sq)
+    # a cell neither pass chose has a ranked row and a ranked column by construction
+    return Partition._of(f.k, f.l, row_chosen | (~col_chosen & (row_rank >= col_rank)))
 
-    s1_tilde = _greedy_lines(entries, by_row=True)
-    s2_tilde = _greedy_lines(entries, by_row=False)
 
-    row_rank = _residual_ranks(entries, s1_tilde, by_row=True)
-    col_rank = _residual_ranks(entries, s2_tilde, by_row=False)
-
-    labels = {}
-    for (k, l) in entries:
-        if (k, l) in s1_tilde:
-            labels[(k, l)] = S1
-        elif (k, l) in s2_tilde:
-            labels[(k, l)] = S2
-        else:
-            # residual cell: both ranks exist by construction
-            labels[(k, l)] = S1 if row_rank[k] >= col_rank[l] else S2
-    return Partition(labels)
+def _max_line_sum(line: np.ndarray, x: np.ndarray) -> float:
+    order, starts, lengths = _lines(line)
+    return float(_line_scan(x[order], starts, lengths)[1].max(initial=0.0))
 
 
 def verify_partition(f: CoeffMatrix, p: Partition) -> tuple[float, float]:
-    """(max over rows of S1 square-sum, max over columns of S2 square-sum)."""
-    if set(p.labels.keys()) != set(f.entries.keys()):
+    """(max over rows of S1 square-sum, max over columns of S2 square-sum), each line
+    summed in f's entry order."""
+    fo, po = np.lexsort((f.l, f.k)), np.lexsort((p.l, p.k))
+    if not (np.array_equal(f.k[fo], p.k[po]) and np.array_equal(f.l[fo], p.l[po])):
         raise ValueError("partition does not cover the support exactly")
-    row_sums: dict = {}
-    col_sums: dict = {}
-    for (k, l), v in f.entries.items():
-        m2 = abs(v) ** 2
-        if p.labels[(k, l)] == S1:
-            row_sums[k] = row_sums.get(k, 0.0) + m2
-        else:
-            col_sums[l] = col_sums.get(l, 0.0) + m2
-    max_row = max(row_sums.values()) if row_sums else 0.0
-    max_col = max(col_sums.values()) if col_sums else 0.0
-    return float(max_row), float(max_col)
+    s1 = np.empty(len(fo), dtype=bool)
+    s1[fo] = p.s1[po]
+    # abs(v) ** 2 with Python's float pow, which need not round as mag * mag does
+    m2 = np.array([mag**2 for mag in np.hypot(f.v.real, f.v.imag).tolist()])
+    return _max_line_sum(f.k[s1], m2[s1]), _max_line_sum(f.l[~s1], m2[~s1])
 
 
 def necessity_lower_bound(f: CoeffMatrix, box_radius: int) -> float:
@@ -201,21 +217,12 @@ def necessity_lower_bound(f: CoeffMatrix, box_radius: int) -> float:
     better than (sum of |f|^2 over the box) / (2 * (2M + 1)).
     """
     M = box_radius
-    shell_vals: dict = {}
-    total = 0.0
-    for (k, l), v in f.entries.items():
-        if abs(k) > M or abs(l) > M:
-            continue
-        s = max(abs(k), abs(l))
-        mag = abs(v)
-        shell_vals.setdefault(s, []).append(mag)
-        total += mag * mag
+    box = (f.k >= -M) & (f.k <= M) & (f.l >= -M) & (f.l <= M)
+    mag = np.hypot(f.v.real[box], f.v.imag[box])  # abs(v), bit for bit
+    total = float(np.cumsum(mag * mag)[-1]) if mag.size else 0.0  # entry order, as total +=
+    order, starts, _ = _lines(np.maximum(np.abs(f.k[box]), np.abs(f.l[box])))
+    lo, hi = np.minimum.reduceat(mag[order], starts), np.maximum.reduceat(mag[order], starts)
     # monotonicity check: min of an inner shell must dominate max of any outer shell
-    shells = sorted(shell_vals)
-    running_min = np.inf
-    for s in shells:
-        lo, hi = min(shell_vals[s]), max(shell_vals[s])
-        if hi > running_min + 1e-12:
-            raise ValueError("monotonicity in max(|k|,|l|) violated")
-        running_min = min(running_min, lo)
+    if np.any(hi > np.minimum.accumulate(np.r_[np.inf, lo[:-1]]) + 1e-12):
+        raise ValueError("monotonicity in max(|k|,|l|) violated")
     return total / (2.0 * (2 * M + 1))

@@ -113,13 +113,6 @@ def shell_rank(j, k):
     return rank if rank.ndim else int(rank)
 
 
-def _shell_order(M: int) -> list[tuple[int, int]]:
-    """All cells of [-M, M]^2 sorted by shell max(|k|,|l|), lex within shells."""
-    cells = [(k, l) for k in range(-M, M + 1) for l in range(-M, M + 1)]
-    cells.sort(key=lambda kl: (max(abs(kl[0]), abs(kl[1])), kl))
-    return cells
-
-
 @dataclass(frozen=True)
 class ShellSequence:
     """Realized coefficients on [-M, M]^2, non-increasing along max-norm shells."""
@@ -136,10 +129,11 @@ class ShellSequence:
         object.__setattr__(self, "dstar", d)
 
     def coeff_matrix(self) -> CoeffMatrix:
-        order = _shell_order(self.box_radius)
-        return CoeffMatrix(
-            {kl: complex(v) for kl, v in zip(order, self.dstar) if v != 0.0}
-        )
+        """dstar[j - 1] at the cell of `shell_rank` j, cells in rank order; zeros left out."""
+        M = self.box_radius
+        k, l = np.indices((2 * M + 1,) * 2).reshape(2, -1) - M
+        at = np.argsort(shell_rank(k, l))[self.dstar != 0.0]
+        return CoeffMatrix._of(k[at], l[at], self.dstar[self.dstar != 0.0].astype(complex))
 
 
 def power_shell_sequence(box_radius: int, exponent: float) -> ShellSequence:
@@ -219,17 +213,17 @@ def lattice_symbol(
     entry (k, l) is placed at (k - center[0], l - center[1]).
     """
     _check_symbol_grid(psi, resolution)
-    if not c.entries:
+    if not c.v.size:
         raise ValueError("empty coefficient matrix")
     r = resolution
-    kl = np.array(list(c.entries), dtype=np.int64)
+    kl = np.stack([c.k, c.l], axis=1)
     lo, hi = kl.min(axis=0).tolist(), kl.max(axis=0).tolist()  # Python ints: F cannot wrap
     F = r * (max(abs(x - s) for x, s in zip(lo + hi, center * 2)) + 1)
     kl -= center
     return SymbolGrid(
         2,
         F,
-        _stamp(kl, np.array(list(c.entries.values())), psi, r, F),
+        _stamp(kl, c.v, psi, r, F),
         spacing=1.0 / r,
         provenance={"generator": "lattice_symbol", "resolution": r, "center": list(center)},
     )

@@ -250,7 +250,7 @@ def test_zero_row_skip_is_bit_exact(tmp_path_factory, case):
         mp.setattr(bimult.cli, "_CHUNK", chunk_rows * side**n)
         with _open_symbol(path) as (dim, r, spacing, chunks):
             sizes = []
-            u = stream_output_spectrum((sizes.append(len(c)) or c for c in chunks),
+            u = stream_output_spectrum((sizes.append(len(c)) or (c, nz) for c, nz in chunks),
                                        n, r, spacing, f, g)
     assert sum(sizes) == side**n and max(sizes) == min(chunk_rows, side**n)
     _assert_same_bits(u.values, oracle)

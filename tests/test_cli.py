@@ -669,6 +669,41 @@ def test_gen_symbol_key_far_from_origin_is_one_line_error(tmp_path, capsys, key)
     assert not out.exists() and not (tmp_path / "sym.bin.json").exists()
 
 
+@pytest.mark.parametrize("row", [[2**63, 0], [0, -(2**63) - 1]], ids=["k", "l"])
+@pytest.mark.parametrize("command", ["decompose", "gen-symbol"])
+def test_coeff_key_outside_int64_is_one_line_error(tmp_path, capsys, command, row):
+    infile = tmp_path / "matrix.json"
+    infile.write_text(json.dumps([[0, 0, 1.0, 0.0], row + [0.5, 0.0]]))
+    out = tmp_path / "out"
+    argv = {
+        "decompose": ["decompose", "--in", str(infile), "--out", str(out)],
+        "gen-symbol": ["gen-symbol", "--kind", "lattice", "--coeffs", str(infile),
+                       "--seed", "1", "--out", str(out)],
+    }[command]
+    assert run(argv) == 1
+    assert _one_line_error(capsys, naming="signed 64-bit")
+    assert not out.exists() and not (tmp_path / "out.json").exists()
+
+
+def test_runs_in_one_process_share_no_parser_state(tmp_path, capsys, matrix_file):
+    # the parser is built once per process; each run parses its own flags
+    sym, part = str(tmp_path / "sym.bin"), tmp_path / "part.json"
+    part.write_text("kept\n")
+    assert run(["gen-symbol", "--kind", "lattice", "--coeffs", matrix_file, "--seed", "1",
+                "--out", sym, "--force"]) == 0
+    assert run(["decompose", "--in", matrix_file, "--out", str(part)]) == 1
+    assert part.read_text() == "kept\n"
+    assert run(["gen-symbol", "--kind", "lattice", "--coeffs", matrix_file, "--seed", "1",
+                "--out", sym]) == 1
+    assert run(["decompose", "--in", matrix_file, "--out", str(part), "--force"]) == 0
+    assert json.loads(part.read_text()) == [[0, 0, "S1"]]
+    parser = bimult.cli.build_parser()
+    assert parser is bimult.cli.build_parser()
+    first = parser.parse_args(["gen-symbol", "--kind", "block-B", "--N", "2", "--out", "x"])
+    second = parser.parse_args(["gen-symbol", "--kind", "lattice", "--out", "y"])
+    assert (first.N, first.force, second.N, second.force) == (2, False, 1, False)
+
+
 def test_experiment_non_object_config_is_one_line_error(tmp_path, capsys):
     config = tmp_path / "c.json"
     config.write_text("[1]")

@@ -20,7 +20,6 @@ from bimult.symbols import (
     SignAssignment,
     _hash64,
     _lp_cutoffs,
-    _shell_order,
     besov_norm,
     block_A_symbol,
     block_B_l4_fourth_coeff,
@@ -72,15 +71,13 @@ def test_lattice_symbol_radius_guard():
 
 def test_shell_rank_matches_enumeration():
     # rank within shells of max(|k|, |l|), lexicographic inside each shell
-    cells = sorted(
-        ((max(abs(k), abs(l)), k, l) for k in range(-3, 4) for l in range(-3, 4))
-    )
-    for rank, (_, k, l) in enumerate(cells, start=1):
-        assert shell_rank(k, l) == rank
-    for rank, (k, l) in enumerate(_shell_order(40), start=1):
-        assert shell_rank(k, l) == rank
+    for M in (3, 40):
+        cells = sorted((max(abs(k), abs(l)), k, l) for k in range(-M, M + 1)
+                       for l in range(-M, M + 1))
+        for rank, (_, k, l) in enumerate(cells, start=1):
+            assert shell_rank(k, l) == rank
     # the same formula on int64 arrays, one rank per cell
-    kl = np.array(_shell_order(40), dtype=np.int64)
+    kl = np.array([kl for _, *kl in cells], dtype=np.int64)
     ranks = shell_rank(kl[:, 0], kl[:, 1])
     assert ranks.dtype == np.int64 and ranks.tolist() == list(range(1, len(kl) + 1))
 
