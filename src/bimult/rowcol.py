@@ -21,7 +21,6 @@ __all__ = ["CoeffMatrix", "Partition", "decompose", "verify_partition", "necessi
 
 S1 = "S1"
 S2 = "S2"
-_FEW_LINES = 8  # lines still open when `_line_scan` stops stepping
 
 
 def _int64(columns) -> np.ndarray:
@@ -30,6 +29,13 @@ def _int64(columns) -> np.ndarray:
         return np.array(list(columns) or [(), ()], dtype=np.int64)
     except OverflowError:
         raise ValueError("coefficient keys must lie in signed 64-bit") from None
+
+
+def _read_only(*arrays: np.ndarray) -> tuple:
+    """The arrays, set read-only: objects that share key arrays cannot edit each other."""
+    for a in arrays:
+        a.flags.writeable = False
+    return arrays
 
 
 class CoeffMatrix:
@@ -41,14 +47,14 @@ class CoeffMatrix:
 
     def __init__(self, entries: dict):
         clean = {(int(k), int(l)): complex(v) for (k, l), v in entries.items()}
-        self.k, self.l = _int64(zip(*clean))
-        self.v = np.array(list(clean.values()), dtype=complex)
+        k, l = _int64(zip(*clean))
+        self.k, self.l, self.v = _read_only(k, l, np.array(list(clean.values()), dtype=complex))
 
     @classmethod
     def _of(cls, k: np.ndarray, l: np.ndarray, v: np.ndarray) -> "CoeffMatrix":
         """From int64 keys without repeats and complex128 values, taken as they are."""
         c = object.__new__(cls)
-        c.k, c.l, c.v = k, l, v
+        c.k, c.l, c.v = _read_only(k, l, v)
         return c
 
     @property
@@ -94,13 +100,14 @@ class Partition:
         for lab in labels.values():
             if lab not in (S1, S2):
                 raise ValueError(f"invalid label {lab!r}")
-        self.k, self.l = _int64(zip(*((int(k), int(l)) for k, l in labels)))
-        self.s1 = np.array([lab == S1 for lab in labels.values()], dtype=bool)
+        k, l = _int64(zip(*((int(k), int(l)) for k, l in labels)))
+        s1 = np.array([lab == S1 for lab in labels.values()], dtype=bool)
+        self.k, self.l, self.s1 = _read_only(k, l, s1)
 
     @classmethod
     def _of(cls, k: np.ndarray, l: np.ndarray, s1: np.ndarray) -> "Partition":
         p = object.__new__(cls)
-        p.k, p.l, p.s1 = k, l, s1
+        p.k, p.l, p.s1 = _read_only(k, l, s1)
         return p
 
     @property
@@ -110,8 +117,7 @@ class Partition:
     def to_json(self) -> str:
         o = np.lexsort((self.l, self.k))
         rows = zip(self.k[o].tolist(), self.l[o].tolist(), self.s1[o].tolist())
-        # json.dumps's bytes: ints print as repr, and the labels need no escapes
-        return "[" + ", ".join([f'[{k}, {l}, "{S1 if s else S2}"]' for k, l, s in rows]) + "]"
+        return json.dumps([[k, l, S1 if s else S2] for k, l, s in rows])
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
@@ -129,22 +135,17 @@ def _lines(line: np.ndarray):
 def _line_scan(x: np.ndarray, starts: np.ndarray, lengths: np.ndarray):
     """(sum before each term, total) of each line x[starts[i] : starts[i] + lengths[i]],
     added left to right from 0.0 as `sum` and `acc += x` add (np.sum adds pairwise).
-    Step p adds the p-th term of every line longer than p, in O(len(x)) memory; the
-    last _FEW_LINES lines still open finish with one sequential np.cumsum each."""
+    Step p adds the p-th term of every line longer than p, in O(len(x)) memory."""
     by_length = np.argsort(lengths, kind="stable")
     st, ln = starts[by_length], lengths[by_length]
     acc, before = np.zeros(len(ln)), np.empty_like(x)
     p = m = 0  # lines m, m + 1, ... of `ln` are longer than p
-    while len(ln) - m > _FEW_LINES:
+    while m < len(ln):
         at = st[m:] + p
         before[at] = acc[m:]
         acc[m:] += x[at]
         p += 1
         m = np.searchsorted(ln, p, side="right")
-    for i in range(m, len(ln)):
-        rest = slice(st[i] + p, st[i] + ln[i])
-        run = np.cumsum(np.r_[acc[i], x[rest]])
-        before[rest], acc[i] = run[:-1], run[-1]
     total = np.empty_like(acc)
     total[by_length] = acc
     return before, total
@@ -202,8 +203,7 @@ def verify_partition(f: CoeffMatrix, p: Partition) -> tuple[float, float]:
     fo, po = np.lexsort((f.l, f.k)), np.lexsort((p.l, p.k))
     if not (np.array_equal(f.k[fo], p.k[po]) and np.array_equal(f.l[fo], p.l[po])):
         raise ValueError("partition does not cover the support exactly")
-    s1 = np.empty(len(fo), dtype=bool)
-    s1[fo] = p.s1[po]
+    s1 = p.s1[po][np.argsort(fo)]  # p's labels in f's entry order
     # abs(v) ** 2 with Python's float pow, which need not round as mag * mag does
     m2 = np.array([mag**2 for mag in np.hypot(f.v.real, f.v.imag).tolist()])
     return _max_line_sum(f.k[s1], m2[s1]), _max_line_sum(f.l[~s1], m2[~s1])

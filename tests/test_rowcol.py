@@ -101,6 +101,16 @@ def test_matrix_json_round_trip():
     assert Partition.from_json(part.to_json()).labels == part.labels
 
 
+def test_arrays_are_read_only():
+    """`scaled` and `decompose` share f's key arrays, so none may be edited in place."""
+    f = random_matrix(5)
+    g, part = f.scaled(2.0), decompose(f)
+    h, q = CoeffMatrix.from_json(f.to_json()), Partition(part.labels)
+    for a in (f.k, f.l, f.v, g.k, g.l, g.v, part.k, part.l, part.s1, h.k, h.l, h.v, q.k, q.s1):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 0
+
+
 def test_necessity_monotonicity_enforced():
     bad = CoeffMatrix({(0, 0): 0.5, (1, 1): 1.0})  # inner shell smaller than outer
     with pytest.raises(ValueError):
