@@ -38,7 +38,7 @@ def _nonzero_rows(rows: np.ndarray, axes: int) -> np.ndarray:
     """
     bits = rows.view(np.uint64)
     # max rather than any: the same answer in about half the time per chunk
-    return bits.max(axis=tuple(range(bits.ndim - axes, bits.ndim))) != 0
+    return bits.max(axis=tuple(range(bits.ndim - axes, bits.ndim)), initial=0) != 0
 
 
 @dataclass(frozen=True)
@@ -113,7 +113,9 @@ def _symbol_block(m: SymbolGrid, F: int) -> np.ndarray:
 
 def _accumulate(rows: Iterable[tuple[tuple[int, ...], np.ndarray]], f: SpectralVector,
                 g: SpectralVector) -> SpectralVector:
-    """Spectrum u(zeta) = sum_{xi+eta=zeta} m f g of T_m(f, g) on the doubled band.
+    """Spectrum u(zeta) = sum_{xi+eta=zeta} m f g of T_m(f, g) on the doubled band, for
+    `output_spectrum`, `stream_output_spectrum` and `symbols`' `block_output_spectrum`:
+    the one sum of that spectrum but for its oracle, `apply_bilinear`'s mode "direct".
 
     rows yields (xi, m(xi, .)) for xi of f's box in row-major order, each row
     restricted to the input band; the callers leave out the rows that are

@@ -5,9 +5,6 @@ Two shapes cover every construction in the package:
 * a pure mollifier  exp(1 - 1/(1 - (u/r)^2))  on |u| < r, and
 * a plateau bump equal to 1 on |u| <= a, falling to 0 at |u| = r through
   the C-infinity step h(t)/(h(t) + h(1-t)) with h(t) = exp(-1/t).
-
-Profiles are radial in the max norm; in several variables the profile is
-evaluated at |x|_inf, so support control is exact.
 """
 
 from __future__ import annotations
@@ -61,9 +58,3 @@ class BumpSpec:
             return out
         a, r = self.plateau, self.radius
         return smooth_step((r - u) / (r - a))
-
-    def sample(self, x: np.ndarray) -> np.ndarray:
-        """Evaluate at points x of shape (..., d) using the max norm."""
-        x = np.asarray(x, dtype=float)
-        u = np.max(np.abs(x), axis=-1) if x.ndim > 1 else np.abs(x)
-        return self.profile(u)

@@ -323,9 +323,8 @@ def _sign_pool_ratios(
     bytes, which hashes the same bytes as `_hash64(seed, l)` and so gives the
     same sign bits.  The all-plus block's output spectrum U, centered at
     `center` (None: cfg.center(key)), comes once from `block_output_spectrum`,
-    which sums each zeta in ascending xi as `output_spectrum` does (its
-    bincount adds in input order, and the grid's zero samples would add only
-    +-0), so no symbol grid is built.  A draw is the sign mask eps_{l(zeta)}
+    which sums the block's stamp as `output_spectrum` sums its grid, so no
+    symbol grid is built.  A draw is the sign mask eps_{l(zeta)}
     on U plus one synthesis.  That equals rebuilding the signed symbol bit for
     bit on every nonzero value: bumps of radius <= 1/10 confine the output of
     cell (j, k) to within 0.2 of l = j + k (in lattice units before any

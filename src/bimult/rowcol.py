@@ -23,12 +23,17 @@ S1 = "S1"
 S2 = "S2"
 
 
-def _int64(columns) -> np.ndarray:
-    """The key columns k and l as one (2, n) int64 array; a ValueError outside int64."""
+def _keys(columns) -> tuple[np.ndarray, np.ndarray]:
+    """The key columns k and l as int64 arrays; a ValueError outside int64 or if a (k, l)
+    repeats."""
     try:
-        return np.array(list(columns) or [(), ()], dtype=np.int64)
+        k, l = np.array(list(columns) or [(), ()], dtype=np.int64)
     except OverflowError:
         raise ValueError("coefficient keys must lie in signed 64-bit") from None
+    o = np.lexsort((l, k))
+    if np.any((k[o][1:] == k[o][:-1]) & (l[o][1:] == l[o][:-1])):
+        raise ValueError("a (k, l) key repeats")
+    return k, l
 
 
 def _read_only(*arrays: np.ndarray) -> tuple:
@@ -47,7 +52,7 @@ class CoeffMatrix:
 
     def __init__(self, entries: dict):
         clean = {(int(k), int(l)): complex(v) for (k, l), v in entries.items()}
-        k, l = _int64(zip(*clean))
+        k, l = _keys(zip(*clean))
         self.k, self.l, self.v = _read_only(k, l, np.array(list(clean.values()), dtype=complex))
 
     @classmethod
@@ -82,10 +87,7 @@ class CoeffMatrix:
         cols = _number_columns(_loads_finite(text, refusal), 4, n_int=2)
         if cols is None:
             raise ValueError(refusal)
-        k, l = _int64(cols[:2])
-        o = np.lexsort((l, k))
-        if np.any((k[o][1:] == k[o][:-1]) & (l[o][1:] == l[o][:-1])):
-            raise ValueError("coefficient JSON repeats a (k, l) key")
+        k, l = _keys(cols[:2])
         v = np.array(cols[2:], dtype=float).T.copy().view(complex).reshape(-1)
         return cls._of(k, l, v)
 
@@ -100,7 +102,7 @@ class Partition:
         for lab in labels.values():
             if lab not in (S1, S2):
                 raise ValueError(f"invalid label {lab!r}")
-        k, l = _int64(zip(*((int(k), int(l)) for k, l in labels)))
+        k, l = _keys(zip(*((int(k), int(l)) for k, l in labels)))
         s1 = np.array([lab == S1 for lab in labels.values()], dtype=bool)
         self.k, self.l, self.s1 = _read_only(k, l, s1)
 
@@ -121,7 +123,17 @@ class Partition:
 
     @classmethod
     def from_json(cls, text: str) -> "Partition":
-        return cls({(k, l): lab for k, l, lab in json.loads(text)})
+        """Inverse of `to_json`: [k, l, label] rows, each (k, l) at most once; k and l are
+        JSON ints in signed 64-bit, and label is "S1" or "S2"."""
+        refusal = 'partition JSON must be a list of [int, int, "S1" or "S2"] rows'
+        rows = json.loads(text)
+        if not (isinstance(rows, list) and set(map(type, rows)) <= {list}
+                and set(map(len, rows)) <= {3}):
+            raise ValueError(refusal)
+        k, l, labs = list(zip(*rows)) or [()] * 3
+        if not (set(map(type, k + l)) <= {int} and all(lab in (S1, S2) for lab in labs)):
+            raise ValueError(refusal)
+        return cls._of(*_keys((k, l)), np.array(labs) == S1)
 
 
 def _lines(line: np.ndarray):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bilinear import SymbolGrid, _check_compat, _output_box
+from .bilinear import SymbolGrid, _accumulate, _check_compat, _nonzero_rows
 from .bumps import BumpSpec, smooth_step
 from .grid import FrequencyBox, SpectralVector, l2_norm
 from .lorentz import MeasuredValues, weak_quasinorm
@@ -174,21 +174,26 @@ def _bump_patch(psi: BumpSpec, resolution: int) -> np.ndarray:
     return np.outer(a, a)
 
 
-def _stamp(kl: np.ndarray, v: np.ndarray, psi: BumpSpec, resolution: int, F: int) -> np.ndarray:
-    """(2F+1)^2 samples of sum v_i * Psi(. - k_i, . - l_i) over the int64 rows (k_i, l_i)
-    of kl and the values v.
-
-    One scatter per patch offset (di, dj) over all entries.  _check_symbol_grid
-    keeps the patches disjoint, so each sample receives exactly one 0 + v * Psi,
-    the same sum as stamping the entries one patch at a time.
-    """
+def _stamp(coeffs: np.ndarray, corner: tuple[int, int], psi: BumpSpec, resolution: int):
+    """(R, C, S): sum c_ij Psi(. - x_i, . - y_j) over the coefficient box `coeffs`, with
+    x_i = corner[0] + resolution * i and y_j = corner[1] + resolution * j in grid
+    indices, sampled on the rows R and columns C (both ascending) the bumps cover.
+    _check_symbol_grid keeps the patches disjoint, so S holds 0 + c_ij * Psi, the value
+    `+=` on a zero grid gives; every other sample of the sum is +0.0."""
     patch = _bump_patch(psi, resolution)
     w = patch.shape[0] // 2
-    rows = F + resolution * kl[:, 0] - w
-    cols = F + resolution * kl[:, 1] - w
+    R, C = (((x + resolution * np.arange(n))[:, None] - w + np.arange(2 * w + 1)).ravel()
+            for x, n in zip(corner, coeffs.shape))
+    S = 0.0 + coeffs[:, None, :, None] * patch[:, None, :]  # S[i, a, j, b]
+    return R, C, S.reshape(len(R), len(C))
+
+
+def _stamped_grid(F: int, coeffs: np.ndarray, corner: tuple, psi: BumpSpec, resolution: int):
+    """The (2F+1)^2 samples of the stamp of `coeffs` at `corner`; the grid is allocated
+    first, so one too large to hold is refused before any stamping."""
     values = np.zeros((2 * F + 1, 2 * F + 1), dtype=complex)
-    for di, dj in np.ndindex(patch.shape):
-        values[rows + di, cols + dj] += v * patch[di, dj]
+    R, C, S = _stamp(coeffs, corner, psi, resolution)
+    values[np.ix_(R, C)] = S
     return values
 
 
@@ -201,32 +206,21 @@ def _bump_train(phi: BumpSpec, F: int, resolution: int, centers) -> np.ndarray:
     return values
 
 
-def lattice_symbol(
-    c: CoeffMatrix,
-    psi: BumpSpec,
-    resolution: int,
-    center: tuple[int, int] = (0, 0),
-) -> SymbolGrid:
-    """Sampled m(xi, eta) = sum c_{k,l} Psi(xi - k, eta - l), disjoint bumps.
-
-    `resolution` samples per unit cell; `center` shifts the lattice so that
-    entry (k, l) is placed at (k - center[0], l - center[1]).
-    """
+def lattice_symbol(c: CoeffMatrix, psi: BumpSpec, resolution: int) -> SymbolGrid:
+    """Sampled m(xi, eta) = sum c_{k,l} Psi(xi - k, eta - l), disjoint bumps,
+    `resolution` samples per unit cell."""
     _check_symbol_grid(psi, resolution)
     if not c.v.size:
         raise ValueError("empty coefficient matrix")
     r = resolution
-    kl = np.stack([c.k, c.l], axis=1)
-    lo, hi = kl.min(axis=0).tolist(), kl.max(axis=0).tolist()  # Python ints: F cannot wrap
-    F = r * (max(abs(x - s) for x, s in zip(lo + hi, center * 2)) + 1)
-    kl -= center
-    return SymbolGrid(
-        2,
-        F,
-        _stamp(kl, c.v, psi, r, F),
-        spacing=1.0 / r,
-        provenance={"generator": "lattice_symbol", "resolution": r, "center": list(center)},
-    )
+    lo = [int(c.k.min()), int(c.l.min())]  # Python ints: F cannot wrap
+    hi = [int(c.k.max()), int(c.l.max())]
+    F = r * (max(map(abs, lo + hi)) + 1)
+    box = np.zeros((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1), dtype=complex)
+    box[c.k - lo[0], c.l - lo[1]] = c.v
+    values = _stamped_grid(F, box, (F + r * lo[0], F + r * lo[1]), psi, r)
+    provenance = {"generator": "lattice_symbol", "resolution": r, "center": [0, 0]}
+    return SymbolGrid(2, F, values, 1.0 / r, provenance)
 
 
 # ---------------------------------------------------------------------------
@@ -256,15 +250,13 @@ class _BlockFamily:
         """Sign seed of draw `draw` for block `key`, hashed from the master seed."""
         return _hash64(self.master_seed, key, draw)
 
-    def block_entries(self, key: int, seed: int | None, center: int) -> dict:
-        """{(j - center, k - center): eps_{j+k} * w_jk}; seed None sets every sign +1."""
+    def block_coefficients(self, key: int, seed: int | None) -> np.ndarray:
+        """The |I| x |I| array of eps_{j+k} * w_jk over I x I, I = interval(key); seed
+        None sets every sign +1."""
         I = self.interval(key)
-        eps = _antidiagonal_signs(I, seed)
-        cells = ((j, k) for j in I for k in I)  # j-major, as weights(key)
-        return {
-            (j - center, k - center): eps[j + k - 2 * I.start] * w
-            for (j, k), w in zip(cells, self.weights(key))
-        }
+        eps = np.array(_antidiagonal_signs(I, seed), dtype=float)
+        at = np.arange(len(I))
+        return eps[at[:, None] + at] * np.reshape(self.weights(key), (len(I), len(I)))
 
     def dilation(self, key: int) -> int:
         return 0
@@ -281,9 +273,8 @@ class _BlockFamily:
         symbol-side norms are in undilated units."""
         center, F = self._layout(key, center)
         r = self.resolution
-        entries = self.block_entries(key, seed, center)
-        kl = np.array(list(entries), dtype=np.int64)
-        values = _stamp(kl, np.array(list(entries.values())), self.psi, r, F)
+        corner = (F + r * (self.interval(key).start - center),) * 2
+        values = _stamped_grid(F, self.block_coefficients(key, seed), corner, self.psi, r)
         spacing = 2.0 ** -self.dilation(key) / r
         return SymbolGrid(2, F, values, spacing, self.provenance(key, seed, center))
 
@@ -291,39 +282,25 @@ class _BlockFamily:
         self, key: int, f: SpectralVector, g: SpectralVector, center: int | None = None
     ) -> SpectralVector:
         """`output_spectrum(block_symbol(key, None, center), f, g)` bit for bit, from the
-        block's entries alone: no symbol grid is built.
-
-        In f's band indices, the bump of entry (j, k) puts 0 + v_jk * Psi[a, b],
-        as `_stamp` writes it, at row R = F_in + r (j - center) - w + a and at the
-        column C likewise made from (k, b).  Each term f[R] m g[C] is summed into
-        zeta = R + C by bincount, on the real and the imaginary parts, in
-        (j, a, k, b) order.  bincount adds in input order, and disjoint bumps make
-        R ascend in that order, so every zeta sums its terms in ascending xi, as
-        `output_spectrum` does.  The grid's zero samples add only +-0 there,
-        which changes no sum (the argument is in `bilinear._accumulate`).
-        """
+        all-plus block's stamp alone: no symbol grid is built.  Stamped in f's band
+        indices, its in-band nonzero rows go to `_accumulate` in ascending order through
+        one band row that is +0.0 off the stamp's columns, as the grid's row is."""
         center, F = self._layout(key, center)
         r = self.resolution
         _check_compat(1, F, 2.0 ** -self.dilation(key) / r, f, g)
-        I = self.interval(key)
-        patch = _bump_patch(self.psi, r)
-        w = patch.shape[0] // 2
-        v = np.array(self.weights(key))  # j-major over I x I; every sign +1 leaves w as it is
-        m = 0.0 + v.reshape(len(I), 1, len(I), 1) * patch[:, None, :]  # m[j, a, k, b]
-        m = m.reshape(len(I) * (2 * w + 1), -1)
         Fin = f.box.radius
-        # R (and C) of every (j, a), j-major; rows and columns outside f's band drop out
-        R = ((Fin + r * (np.arange(I.start, I.stop) - center) - w)[:, None]
-             + np.arange(2 * w + 1)).ravel()
-        band = (R >= 0) & (R <= 2 * Fin)
-        R, m = R[band], m[band][:, band]
-        terms = np.multiply(f.values[R][:, None], m, dtype=complex) * g.values[R]
-        zeta = (R[:, None] + R).ravel()
-        box = _output_box(f)
-        u = np.zeros(box.lattice_shape, dtype=complex)
-        u.real, u.imag = (np.bincount(zeta, part.ravel(), box.n_lattice)
-                          for part in (terms.real, terms.imag))
-        return SpectralVector(box, u)
+        corner = (Fin + r * (self.interval(key).start - center),) * 2
+        R, _, S = _stamp(self.block_coefficients(key, None), corner, self.psi, r)
+        band = slice(*np.searchsorted(R, (0, 2 * Fin + 1)))  # R is C: one slice for both
+        R, S = R[band], S[band, band]
+        row = np.zeros(2 * Fin + 1, dtype=complex)
+
+        def band_rows():
+            for i in np.flatnonzero(_nonzero_rows(S, 1)).tolist():
+                row[R] = S[i]
+                yield (int(R[i]),), row
+
+        return _accumulate(band_rows(), f, g)
 
     def test_function(self, key: int, center: int | None = None) -> SpectralVector:
         """One phi_hat bump per block index, on the torus of period r * 2^dilation."""

@@ -60,10 +60,13 @@ def meyer_mother_hat(xi) -> np.ndarray:
     return np.exp(1j * np.pi * x) * mag
 
 
-def meyer_physical(kind: str, x, quad_points: int = 8193) -> np.ndarray:
+_QUAD_POINTS = 8193  # trapezoid nodes on the mother's support [-4/3, 4/3]
+
+
+def meyer_physical(kind: str, x) -> np.ndarray:
     """Physical-side samples by fine quadrature of the inverse Fourier integral."""
     x = np.asarray(x, dtype=float)
-    omega = np.linspace(-4.0 / 3.0, 4.0 / 3.0, quad_points)
+    omega = np.linspace(-4.0 / 3.0, 4.0 / 3.0, _QUAD_POINTS)
     spec = meyer_father_hat(omega) if kind == "F" else meyer_mother_hat(omega)
     kernel = np.exp(2j * np.pi * np.outer(x, omega))
     vals = np.trapezoid(kernel * spec, omega, axis=-1)

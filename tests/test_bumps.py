@@ -39,15 +39,6 @@ def test_plateau_bump_is_one_inside():
     assert 0.0 < mid < 1.0
 
 
-def test_max_norm_radial_sampling():
-    psi = BumpSpec(radius=0.1, plateau=0.05)
-    pts = np.array([[0.04, 0.01], [0.0, 0.09], [0.11, 0.0]])
-    out = psi.sample(pts)
-    assert out[0] == 1.0  # max coordinate 0.04 <= plateau
-    assert 0.0 < out[1] < 1.0
-    assert out[2] == 0.0
-
-
 def test_invalid_specs_rejected():
     with pytest.raises(ValueError):
         BumpSpec(radius=0.0)

@@ -140,7 +140,7 @@ def test_sign_pool_is_thread_invariant(family):
 
 
 def test_sign_pool_builds_no_symbol_grid(monkeypatch):
-    # the pool reads each block's spectrum from its entries: no (2F+1)^2 grid is stamped
+    # the pool sums each block's spectrum from its stamp: no (2F+1)^2 grid is allocated
     calls = []
 
     def record(owner, name):
@@ -152,14 +152,14 @@ def test_sign_pool_builds_no_symbol_grid(monkeypatch):
 
         monkeypatch.setattr(owner, name, recording)
 
-    record(bimult.symbols, "_stamp")
+    record(bimult.symbols, "_stamped_grid")
     record(bimult.symbols._BlockFamily, "block_symbol")
     for family, key in (("A", 2), ("B", 2)):
         cfg = _POOL_FAMILIES[family]
         assert len(_sign_pool_ratios(cfg, key, cfg.test_function(key), 3)) == 3
     assert calls == []
     _POOL_FAMILIES["A"].block_symbol(1, None)  # the recording is live
-    assert calls == ["block_symbol", "_stamp"]
+    assert calls == ["block_symbol", "_stamped_grid"]
 
 
 def test_levelset_grid_is_block_centered(monkeypatch):

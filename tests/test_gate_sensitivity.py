@@ -8,11 +8,23 @@ are ratios known in closed form:
   so ||T(f, g)||_1 = L^n = ||f||_2 ||g||_2 on the torus [0, L)^n, and the ratio is 1,
   both from `operator_ratio` and from `bimult apply` on a symbol file;
 - the lattice single-bump baseline: T(delta, delta) is the constant m(0, 0) = 1 on the
-  unit torus, ||delta||_2 = 1, and one unit coefficient has weak-l4 norm 1.
+  unit torus, ||delta||_2 = 1, and one unit coefficient has weak-l4 norm 1;
+- the fourier_compact single-bump baseline at resolution 10 is sqrt(10): the ratio is
+  the same 1, and the bump's only nonzero sample is m(0, 0) = 1 (the others lie on
+  the support boundary), so the weak-l4 norm of the samples, cell measure 1/100, is
+  (1/100)^(1/4);
+- the sign pool's ratios equal `operator_ratio` of the rebuilt signed block symbol, bit
+  for bit, so each quotient is 1.
 
-Each mutant scales the operator ratio by a constant.  The mutants are applied wherever
-the package refers to the function, as a one-line edit of its body would be.
+The besov baseline (1.5249...) is left unanchored: its norm sums the weak-l4 norms of
+FFT-filtered dyadic pieces, which have no closed form.
+
+Each mutant scales the operator ratio, or the pool's ratios, by a constant.  The mutants
+are applied wherever the package refers to the function, as a one-line edit of its body
+would be.
 """
+
+import math
 
 import json
 
@@ -22,6 +34,7 @@ import pytest
 import bimult
 from bimult.bilinear import SymbolGrid, operator_ratio
 from bimult.cli import run, write_symbol
+from bimult.symbols import CounterexampleAConfig, CounterexampleBConfig
 from bimult.experiments import _single_bump_baseline
 from bimult.grid import FrequencyBox, SpectralVector, spectral_to_json
 
@@ -64,10 +77,33 @@ def _lattice_single_bump(tmp_path) -> list[float]:
     return [_single_bump_baseline("lattice", resolution) for resolution in (10, 16)]
 
 
+def _fourier_compact_single_bump(tmp_path) -> list[float]:
+    return [_single_bump_baseline("fourier_compact", 10) / math.sqrt(10)]
+
+
+_POOL_BLOCKS = [
+    (CounterexampleAConfig(block_b=(4,), dstar_exponent=0.125, master_seed=3), 1),
+    (CounterexampleBConfig(mode="desk", Ns=(1,), master_seed=3), 1),
+]
+
+
+def _pool_over_rebuild(tmp_path) -> list[float]:
+    quotients = []
+    for cfg, key in _POOL_BLOCKS:
+        f = cfg.test_function(key)
+        pool = bimult.experiments._sign_pool_ratios(cfg, key, f, 3)
+        for d, ratio in enumerate(pool):
+            m = cfg.block_symbol(key, cfg.block_seed(key, d))
+            quotients.append(ratio / operator_ratio(m, f, f))
+    return quotients
+
+
 ANCHORS = {
     "identity-operator_ratio": _library_identity,
     "identity-cli-apply": _cli_identity,
     "lattice-single-bump": _lattice_single_bump,
+    "fourier_compact-single-bump": _fourier_compact_single_bump,
+    "pool-vs-rebuild": _pool_over_rebuild,
 }
 
 
@@ -83,24 +119,36 @@ def _scaled(factor):
     return mutate
 
 
+def _scaled_each(factor):
+    def mutate(fn):
+        return lambda *args, **kwargs: [r * factor for r in fn(*args, **kwargs)]
+    return mutate
+
+
+# (module, function, mutation, the anchors that must see it); an operator mutant
+# moves every anchor, a pool mutant only the pool's
 MUTANTS = {
-    "_input_norms-times-1.5": ("bilinear", "_input_norms", _scaled(1.5)),
-    "_input_norms-over-1.5": ("bilinear", "_input_norms", _scaled(1 / 1.5)),
-    "l1_norm-times-1.5": ("grid", "l1_norm", _scaled(1.5)),
-    "l1_norm-over-1.5": ("grid", "l1_norm", _scaled(1 / 1.5)),
+    "_input_norms-times-1.5": ("bilinear", "_input_norms", _scaled(1.5), ANCHORS),
+    "_input_norms-over-1.5": ("bilinear", "_input_norms", _scaled(1 / 1.5), ANCHORS),
+    "l1_norm-times-1.5": ("grid", "l1_norm", _scaled(1.5), ANCHORS),
+    "l1_norm-over-1.5": ("grid", "l1_norm", _scaled(1 / 1.5), ANCHORS),
+    "_sign_pool_ratios-times-1.5": ("experiments", "_sign_pool_ratios", _scaled_each(1.5),
+                                    ["pool-vs-rebuild"]),
+    "_sign_pool_ratios-over-1.5": ("experiments", "_sign_pool_ratios", _scaled_each(1 / 1.5),
+                                   ["pool-vs-rebuild"]),
 }
 
 
 @pytest.mark.parametrize("mutant", MUTANTS)
 def test_every_anchor_fails_under_mutant(tmp_path, monkeypatch, mutant):
-    home, name, mutate = MUTANTS[mutant]
+    home, name, mutate, anchors = MUTANTS[mutant]
     original = getattr(getattr(bimult, home), name)
     patched = mutate(original)
     modules = [getattr(bimult, m) for m in ("bilinear", "cli", "experiments", "grid")]
     for module in modules:
         if module.__dict__.get(name) is original:
             monkeypatch.setattr(module, name, patched)
-    for anchor, measure in ANCHORS.items():
+    for anchor in anchors:
         (tmp_path / anchor).mkdir()  # a fresh directory each: no overwrite refusal
-        ratios = measure(tmp_path / anchor)
+        ratios = ANCHORS[anchor](tmp_path / anchor)
         assert any(abs(r - 1.0) > TOL for r in ratios), f"{anchor} misses {mutant}: {ratios}"

@@ -101,6 +101,26 @@ def test_matrix_json_round_trip():
     assert Partition.from_json(part.to_json()).labels == part.labels
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        '[[0, 0, "S1"], [0, 0, "S2"]]',  # read as {(0, 0): "S2"} before
+        '[[0.5, 0, "S1"]]',  # read as key 0
+        '[[true, 0, "S1"]]',  # read as key 1
+        "[1]",  # a TypeError before
+        '[[0, 0, "S3"]]',
+        '[[0, 0]]',
+        '{"0": "S1"}',
+        f'[[{2**63}, 0, "S1"]]',
+    ],
+    ids=["repeated-key", "float-key", "bool-key", "not-a-row", "bad-label", "short-row",
+         "object", "outside-int64"],
+)
+def test_partition_json_refuses_bad_rows(text):
+    with pytest.raises(ValueError):
+        Partition.from_json(text)
+
+
 def test_arrays_are_read_only():
     """`scaled` and `decompose` share f's key arrays, so none may be edited in place."""
     f = random_matrix(5)

@@ -18,6 +18,7 @@ from bimult.symbols import (
     CounterexampleAConfig,
     CounterexampleBConfig,
     SignAssignment,
+    _bump_patch,
     _hash64,
     _lp_cutoffs,
     besov_norm,
@@ -63,6 +64,57 @@ def test_lattice_symbol_homogeneity():
 def test_lattice_symbol_radius_guard():
     with pytest.raises(ValueError):
         lattice_symbol(CoeffMatrix({(0, 0): 1.0}), BumpSpec(radius=0.2), 20)
+
+
+def _stamp_by_offset(kl, v, psi, resolution, F):
+    """Oracle: the per-offset stamper the box stamper replaced, one scatter of every entry
+    per patch offset (di, dj) into a zero (2F+1)^2 grid."""
+    patch = _bump_patch(psi, resolution)
+    w = patch.shape[0] // 2
+    rows = F + resolution * kl[:, 0] - w
+    cols = F + resolution * kl[:, 1] - w
+    values = np.zeros((2 * F + 1, 2 * F + 1), dtype=complex)
+    for di, dj in np.ndindex(patch.shape):
+        values[rows + di, cols + dj] += v * patch[di, dj]
+    return values
+
+
+_PART = st.sampled_from([0.0, -0.0]) | st.floats(-1e6, 1e6, allow_subnormal=True)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(
+    entries=st.dictionaries(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                            st.builds(complex, _PART, _PART), min_size=1, max_size=12),
+    resolution=st.integers(1, 24),
+    radius=st.floats(0.001, 0.1),
+    plateau=st.none() | st.floats(0.05, 0.95),
+)
+def test_box_stamp_equals_per_offset_scatters(entries, resolution, radius, plateau):
+    # the lattice symbol's samples, bit for bit, and so every -0.0 of the scatters too
+    psi = BumpSpec(radius, None if plateau is None else plateau * radius)
+    m = lattice_symbol(CoeffMatrix(entries), psi, resolution)
+    kl = np.array(list(entries), dtype=np.int64)
+    oracle = _stamp_by_offset(kl, np.array(list(entries.values())), psi, resolution, m.radius)
+    assert np.array_equal(m.values.view(np.uint64), oracle.view(np.uint64))
+
+
+@pytest.mark.parametrize("family", ["A", "B"])
+@settings(max_examples=10, deadline=None, derandomize=True)
+@given(data=st.data(), seed=st.none() | st.integers(0, 2**64 - 1))
+def test_block_symbol_is_the_lattice_symbol_of_its_coefficients(family, data, seed):
+    # block coefficients placed at (j - c, k - c): the same samples, spacing aside
+    cfg = _BLOCK_FAMILIES[family]
+    key = data.draw(st.integers(1, 2), label="key")
+    center = cfg.center(key) + data.draw(st.integers(-8, 8), label="shift")
+    I = cfg.interval(key)
+    c = cfg.block_coefficients(key, seed)
+    lattice = CoeffMatrix({(j - center, k - center): c[j - I.start, k - I.start]
+                           for j in I for k in I})
+    m = cfg.block_symbol(key, seed, center)
+    oracle = lattice_symbol(lattice, cfg.psi, cfg.resolution)
+    assert m.radius == oracle.radius
+    assert np.array_equal(m.values.view(np.uint64), oracle.values.view(np.uint64))
 
 
 # ---------------------------------------------------------------------------
@@ -190,24 +242,28 @@ def test_block_weights_overflow_raises():
 
 def test_counterexample_A_single_cell():
     cfg = CounterexampleAConfig(block_b=(1,), dstar_exponent=0.0, master_seed=0)
-    c = CoeffMatrix(cfg.block_entries(1, cfg.block_seed(1), 0))
-    assert set(c.entries) == {(1, 1)}
-    assert abs(c.entries[(1, 1)]) == 1.0
+    c = cfg.block_coefficients(1, cfg.block_seed(1))
+    assert c.shape == (1, 1) and c.dtype == float
+    assert abs(c[0, 0]) == 1.0
 
 
 def test_counterexample_A_antidiagonal_signs():
     cfg = CounterexampleAConfig(block_b=(2,), dstar_exponent=0.0, master_seed=5)
-    c = CoeffMatrix(cfg.block_entries(1, cfg.block_seed(1), 0))
-    assert set(c.entries) == {(j, k) for j in (2, 3) for k in (2, 3)}
+    c = cfg.block_coefficients(1, cfg.block_seed(1))  # cells (j, k) of {2, 3}^2, weight 1
     # signs depend only on j + k, so the two cells with j+k=5 agree
-    assert c.entries[(2, 3)] == c.entries[(3, 2)]
+    assert c[0, 1] == c[1, 0]
+    eps = SignAssignment(cfg.block_seed(1)).signs(range(4, 7))
+    assert c.tolist() == [[eps[j + k] for k in range(2)] for j in range(2)]
 
 
 def test_counterexample_A_magnitudes_unchanged_by_signs():
     cfg = CounterexampleAConfig(block_b=(4,), dstar_exponent=0.125, master_seed=9)
-    c = CoeffMatrix(cfg.block_entries(1, cfg.block_seed(1), 0))
-    mags = CoeffMatrix({kl: abs(v) for kl, v in c.entries.items()})
-    assert c.weak4() == pytest.approx(mags.weak4(), rel=1e-12)
+    signed, plus = cfg.block_coefficients(1, cfg.block_seed(1)), cfg.block_coefficients(1, None)
+    assert np.array_equal(np.abs(signed), plus)
+    assert plus.ravel().tolist() == cfg.weights(1)  # j-major, as weights(K)
+    weak4 = [CoeffMatrix({(j, k): v for (j, k), v in np.ndenumerate(c)}).weak4()
+             for c in (signed, plus)]
+    assert weak4[0] == pytest.approx(weak4[1], rel=1e-12)
 
 
 def test_counterexample_A_block_spacing_guard():
@@ -373,12 +429,13 @@ def test_block_output_spectrum_equals_grid_spectrum(family, key, centered):
 
 @pytest.mark.parametrize("family", ["A", "B"])
 def test_block_output_spectrum_of_narrower_inputs(family):
-    # inputs on a band inside the block's grid: bumps cut by the band edge drop out
+    # inputs on a band inside the block's grid: bumps cut by the band edge drop out, and
+    # a band 10 lattice units off the block's center holds none
     cfg, key = _BLOCK_FAMILIES[family], 2
-    center = cfg.center(key)
-    period = cfg.test_function(key, center).box.period
+    period = cfg.test_function(key).box.period
     rng = np.random.default_rng(5)
-    for radius in (3, 40):
+    for shift, radius in ((0, 3), (0, 40), (10, 3)):
+        center = cfg.center(key) + shift
         box = FrequencyBox(1, radius, 2, period)
         f, g = (SpectralVector(box, rng.standard_normal(2 * radius + 1)
                                + 1j * rng.standard_normal(2 * radius + 1)) for _ in "fg")

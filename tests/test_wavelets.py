@@ -21,13 +21,13 @@ from bimult.wavelets import (
 )
 
 
-def sampled_wavelet(j, G, beta, F=256, res=16, quad=16385):
+def sampled_wavelet(j, G, beta, F=256, res=16):
     """Grid samples of one product family member on the box [-F/res, F/res]^2."""
     xs = np.arange(-F, F + 1) / res
     lam = 1.0 if j == 0 else 2.0 ** (j - 1)
     scale = 1.0 if j == 0 else lam  # 2^((j-1) n) with n = 1
-    a = meyer_physical(G[0], lam * xs - beta[0], quad)
-    b = meyer_physical(G[1], lam * xs - beta[1], quad)
+    a = meyer_physical(G[0], lam * xs - beta[0])
+    b = meyer_physical(G[1], lam * xs - beta[1])
     return SymbolGrid(2, F, scale * np.outer(a, b), 1.0 / res)
 
 
@@ -117,7 +117,7 @@ def test_zero_symbol_all_zero():
 
 
 def test_lemma_ratio_scale_invariant_exactly():
-    m = sampled_wavelet(1, ("M", "F"), (0, 0), F=64, res=8, quad=4097)
+    m = sampled_wavelet(1, ("M", "F"), (0, 0), F=64, res=8)
     coeffs = wavelet_coefficients(m, 1)
     coeffs7 = wavelet_coefficients(m.scaled(7.0), 1)
     r1 = lemma_discrete_ratio(m, 1, ("M", "F"), coeffs)
