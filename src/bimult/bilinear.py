@@ -234,14 +234,24 @@ def apply_bilinear(
 
 
 def _input_norms(f: SpectralVector, g: SpectralVector) -> float:
-    """||f||_2 ||g||_2, the operator ratio's denominator; rejects zero inputs."""
+    """||f||_2 ||g||_2, the operator ratio's denominator; rejects a zero input, and norms
+    whose computation or product overflows to infinity or underflows to zero."""
     nf, ng = l2_norm(f), l2_norm(g)
-    if nf == 0.0 or ng == 0.0:
-        raise ValueError("inputs must have nonzero L2 norm")
+    if not 0.0 < nf * ng < np.inf:
+        raise ValueError(f"inputs must have L2 norms with a nonzero, finite product, not {nf:g}"
+                         f" and {ng:g}")
     return nf * ng
+
+
+def _ratio(l1: float, norms: float) -> float:
+    """l1 / norms, the operator ratio of `operator_ratio` and the CLI's `apply`: refused
+    unless finite, as records refuse it."""
+    if not np.isfinite(ratio := l1 / norms):
+        raise ValueError(f"operator ratio {ratio} is not finite")
+    return ratio
 
 
 def operator_ratio(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> float:
     """||T_m(f,g)||_1 / (||f||_2 ||g||_2)."""
     norms = _input_norms(f, g)
-    return l1_norm(apply_bilinear(m, f, g)) / norms
+    return _ratio(l1_norm(apply_bilinear(m, f, g)), norms)

@@ -13,6 +13,7 @@ import contextlib
 import csv
 import functools
 import glob as globmod
+import io
 import json
 import os
 import struct
@@ -21,16 +22,17 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bilinear import SymbolGrid, _all_finite, _input_norms, _nonzero_rows, stream_output_spectrum
+from .bilinear import (
+    SymbolGrid, _all_finite, _input_norms, _nonzero_rows, _ratio, stream_output_spectrum,
+)
 from .bumps import BumpSpec
 from .experiments import (
     EXPERIMENTS,
     ExperimentRecord,
     _INT64,
-    _guard_overwrite,
+    _finite,
     config_hash,
     run_experiment,
-    write_records,
 )
 from .grid import l1_norm, spectral_from_json, synthesize
 from .rowcol import CoeffMatrix, decompose, verify_partition
@@ -56,34 +58,61 @@ def _chunks(count: int, step: int = _CHUNK):
         yield slice(start, min(start + step, count))
 
 
+def _guard_overwrite(path: str, force: bool) -> None:
+    """Refuse to replace an existing output unless forced."""
+    if os.path.exists(path) and not force:
+        raise FileExistsError(f"refusing to overwrite {path} (use --force)")
+
+
+def _json_text(obj) -> str:
+    """A sidecar or `apply` payload: indented JSON, refusing NaN and Infinity (not JSON)."""
+    return json.dumps(obj, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _write_outputs(outputs: dict, force: bool) -> None:
+    """Write each output of a command whole, or none of them: the package's one file writer.
+
+    outputs maps each path to its text, or to a function that writes its bytes to an
+    open binary file.  Every path is refused if it exists (unless forced) before any
+    file is opened.  Each output goes to `<path>.<pid>.tmp` beside its path, and only
+    once all are complete is each moved onto its path by `os.replace`; on any error the
+    temporary files are removed, so a failed write leaves every old output as it was.
+    """
+    for path in outputs:
+        _guard_overwrite(path, force)
+    written = []
+    try:
+        for path, content in outputs.items():
+            with open(f"{path}.{os.getpid()}.tmp", "wb") as fh:
+                written.append((fh.name, path))
+                if callable(content):
+                    content(fh)
+                else:
+                    fh.write(content.encode())
+        for tmp, path in written:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in written:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
+        raise
+
+
 def write_symbol(path: str, m: SymbolGrid, meta: dict, force: bool = False) -> None:
     """Binary dump (little-endian complex64, row-major) plus a JSON sidecar."""
-    side_path = path + ".json"
-    for p in (path, side_path):  # both checked before either is opened: no half pair
-        _guard_overwrite(p, force)
     flat = m.values.reshape(-1)
-    buf = np.empty(min(flat.size, _CHUNK), dtype=_VALUE_TYPE)
-    with open(path, "wb") as fh:
-        fh.write(_MAGIC)
-        fh.write(_HEADER.pack(_FMT_VERSION, m.dim, m.radius, m.spacing))
+
+    def dump(fh):
+        buf = np.empty(min(flat.size, _CHUNK), dtype=_VALUE_TYPE)
+        fh.write(_MAGIC + _HEADER.pack(_FMT_VERSION, m.dim, m.radius, m.spacing))
         for part in _chunks(flat.size):
             chunk = buf[: part.stop - part.start]
             chunk[...] = flat[part]
             fh.write(chunk)
-    sidecar = dict(meta)
-    sidecar.update(
-        {
-            "toolVersion": __version__,
-            "dim": m.dim,
-            "radius": m.radius,
-            "spacing": m.spacing,
-            "valueType": "complex64",
-            "provenance": m.provenance,
-        }
-    )
-    with open(side_path, "w") as fh:
-        json.dump(sidecar, fh, sort_keys=True, indent=2)
-        fh.write("\n")
+
+    sidecar = {**meta, "toolVersion": __version__, "dim": m.dim, "radius": m.radius,
+               "spacing": m.spacing, "valueType": "complex64", "provenance": m.provenance}
+    _write_outputs({path: dump, path + ".json": _json_text(sidecar)}, force)
 
 
 @contextlib.contextmanager
@@ -167,45 +196,27 @@ def _require_seed(args) -> int:
 
 def _cmd_gen_symbol(args) -> int:
     seed = _require_seed(args)
+    cfg = {"kind": args.kind, "resolution": args.resolution}  # the sidecar's config
     if args.kind == "lattice":
         if args.coeffs is None:
             raise ValueError("--kind lattice requires --coeffs")
         with open(args.coeffs) as fh:
             c = CoeffMatrix.from_json(fh.read())
-        m = lattice_symbol(
-            c, BumpSpec(radius=0.1, plateau=0.05), args.resolution
-        )
-        cfg = {"kind": "lattice", "coeffs": args.coeffs, "resolution": args.resolution}
+        m = lattice_symbol(c, BumpSpec(radius=0.1, plateau=0.05), args.resolution)
+        cfg["coeffs"] = args.coeffs
     elif args.kind == "block-A":
+        cfg.update(K=args.K, exponent=_finite("--exponent", args.exponent), seed=seed)
         acfg = CounterexampleAConfig(
-            block_b=tuple(4**k for k in range(1, args.K + 1)),
-            dstar_exponent=args.exponent,
-            master_seed=seed,
-            resolution=args.resolution,
+            block_b=tuple(4**k for k in range(1, args.K + 1)), dstar_exponent=cfg["exponent"],
+            master_seed=seed, resolution=args.resolution,
         )
         m = block_A_symbol(acfg, args.K, acfg.block_seed(args.K), center=acfg.center(args.K))
-        cfg = {
-            "kind": "block-A",
-            "K": args.K,
-            "exponent": args.exponent,
-            "resolution": args.resolution,
-            "seed": seed,
-        }
     elif args.kind == "block-B":
+        cfg.update(mode=args.mode, N=args.N, seed=seed)
         bcfg = CounterexampleBConfig(
-            mode=args.mode,
-            Ns=(args.N,),
-            master_seed=seed,
-            resolution=args.resolution,
+            mode=args.mode, Ns=(args.N,), master_seed=seed, resolution=args.resolution
         )
         m = counterexample_B_block(bcfg, args.N)
-        cfg = {
-            "kind": "block-B",
-            "mode": args.mode,
-            "N": args.N,
-            "resolution": args.resolution,
-            "seed": seed,
-        }
     else:
         raise ValueError(f"unknown symbol kind {args.kind!r}")
     write_symbol(args.out, m, {"configHash": config_hash(cfg), "config": cfg}, args.force)
@@ -219,8 +230,7 @@ def _cmd_decompose(args) -> int:
         f = CoeffMatrix.from_json(fh.read())
     part = decompose(f)
     max_row, max_col = verify_partition(f, part)
-    with open(args.out, "w") as fh:
-        fh.write(part.to_json() + "\n")
+    _write_outputs({args.out: part.to_json() + "\n"}, args.force)
     print(f"wrote {args.out}: maxRowSum={max_row:.6g} maxColSum={max_col:.6g}")
     return 0
 
@@ -228,20 +238,19 @@ def _cmd_decompose(args) -> int:
 def _cmd_apply(args) -> int:
     if args.out:
         _guard_overwrite(args.out, args.force)
-    with _open_symbol(args.symbol) as (dim, radius, spacing, chunks):
+    # an overflow is refused as a non-finite spectrum or ratio, not warned about first
+    with np.errstate(all="ignore"), _open_symbol(args.symbol) as (dim, radius, spacing, chunks):
         with open(args.f) as fh:
             f = spectral_from_json(fh.read())
         with open(args.g) as fh:
             g = spectral_from_json(fh.read())
         norms = _input_norms(f, g)
         u = stream_output_spectrum(chunks, dim // 2, radius, spacing, f, g)
-    l1 = l1_norm(synthesize(u))
-    ratio = l1 / norms  # operator_ratio(read_symbol(path), f, g), streamed
+        l1 = l1_norm(synthesize(u))
+    ratio = _ratio(l1, norms)  # operator_ratio(read_symbol(path), f, g), streamed
     if args.out:
         payload = {"toolVersion": __version__, "l1Norm": l1, "operatorRatio": ratio}
-        with open(args.out, "w") as fh:
-            json.dump(payload, fh, sort_keys=True, indent=2)
-            fh.write("\n")
+        _write_outputs({args.out: _json_text(payload)}, args.force)
     print(f"operatorRatio={ratio:.12g}")
     return 0
 
@@ -277,8 +286,9 @@ def _cmd_experiment(args) -> int:
     path = os.path.join(out_dir, f"{args.name}-{config_hash(cfg)}-{seed}.jsonl")
     _guard_overwrite(path, args.force)
     rec = run_experiment(args.name, cfg, seed, threads=args.threads)
-    os.makedirs(out_dir, exist_ok=True)  # only now: a refused config leaves no directory
-    write_records(path, [rec], args.force)
+    line = rec.to_json_line() + "\n"
+    os.makedirs(out_dir, exist_ok=True)  # only now: a refused config or record leaves no directory
+    _write_outputs({path: line}, args.force)
     status = "PASS" if rec.summary.get("passed", True) else "FAIL"
     print(f"{args.name}: {status} ({path}, {rec.wall_clock:.2f}s)")
     return 0 if rec.summary.get("passed", True) else 2
@@ -305,23 +315,17 @@ def _cmd_report(args) -> int:
         rows = [r for r in rec.per_trial_results if xk in r and yk in r]
         if rows:
             name = f"{rec.experiment_name}-{rec.config_hash}-{rec.master_seed}.dat"
-            plots[os.path.join(args.out, name)] = [f"{r[xk]} {r[yk]}\n" for r in rows]
+            plots[os.path.join(args.out, name)] = "".join(f"{r[xk]} {r[yk]}\n" for r in rows)
     csv_path = os.path.join(args.out, "summary.csv")
-    for target in [csv_path, *plots]:  # all checked before any is written: no partial report
-        _guard_overwrite(target, args.force)
-    os.makedirs(args.out, exist_ok=True)
     keys = sorted({k for rec in records for k in rec.summary})
-    with open(csv_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["experimentName", "configHash", "masterSeed"] + keys)
-        for rec in records:
-            writer.writerow(
-                [rec.experiment_name, rec.config_hash, rec.master_seed]
-                + [rec.summary.get(k, "") for k in keys]
-            )
-    for target, lines in plots.items():
-        with open(target, "w") as fh:
-            fh.writelines(lines)
+    table = io.StringIO()
+    csv.writer(table).writerows(
+        [["experimentName", "configHash", "masterSeed"] + keys]
+        + [[rec.experiment_name, rec.config_hash, rec.master_seed]
+           + [rec.summary.get(k, "") for k in keys] for rec in records]
+    )
+    os.makedirs(args.out, exist_ok=True)
+    _write_outputs({csv_path: table.getvalue(), **plots}, args.force)
     print(f"wrote {csv_path} ({len(records)} records)")
     return 0
 

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -51,7 +50,6 @@ __all__ = [
     "levelset_profile",
     "run_experiment",
     "EXPERIMENTS",
-    "write_records",
 ]
 
 
@@ -135,19 +133,6 @@ class ExperimentRecord:
                 and all(isinstance(row, dict) for row in d["perTrialResults"])):
             raise ValueError("not an experiment record (keys and types as to_json_line writes)")
         return cls(*(d[key] for key in shape), wall_clock=0.0)
-
-
-def _guard_overwrite(path, force: bool) -> None:
-    """Refuse to replace an existing output unless forced; call before writing anything."""
-    if os.path.exists(path) and not force:
-        raise FileExistsError(f"refusing to overwrite {path} (use --force)")
-
-
-def write_records(path, records, force: bool = False) -> None:
-    _guard_overwrite(path, force)
-    lines = [rec.to_json_line() + "\n" for rec in records]  # all serialized before any is written
-    with open(path, "w") as fh:
-        fh.writelines(lines)
 
 
 # ---------------------------------------------------------------------------

@@ -63,6 +63,37 @@ def test_traced_targets_exist(monkeypatch):
         assert callable(getattr(importlib.import_module(module), fname, None)), (module, fname)
 
 
+def _opens_for_writing(node) -> bool:
+    """An `open(...)` call whose mode is not a constant of read flags only."""
+    if not (isinstance(node, ast.Call) and getattr(node.func, "id", None) == "open"):
+        return False
+    mode = node.args[1] if len(node.args) > 1 else next(
+        (kw.value for kw in node.keywords if kw.arg == "mode"), ast.Constant("r"))
+    return not (isinstance(mode, ast.Constant) and set(mode.value) <= set("rbt"))
+
+
+def _write_sites(node, where: str):
+    """Name of the innermost function around each write-mode `open` under `node`."""
+    for child in ast.iter_child_nodes(node):
+        if _opens_for_writing(child):
+            yield where
+        inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+        yield from _write_sites(child, inner)
+
+
+def test_one_writer_and_one_overwrite_guard():
+    # every output file goes through `cli._write_outputs`, which alone checks, writes
+    # whole and replaces; a second write path would bypass that
+    sites, guards = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        sites += [f"{path.stem}.{name}" for name in _write_sites(tree, "<module>")]
+        guards += [path.stem for node in ast.walk(tree)
+                   if isinstance(node, ast.FunctionDef) and node.name == "_guard_overwrite"]
+    assert sites == ["cli._write_outputs"]
+    assert guards == ["cli"]
+
+
 @pytest.mark.parametrize("module", MODULES)
 def test_every_exported_name_is_used(module):
     # a public name that only its own tests reach is dead weight: delete it instead

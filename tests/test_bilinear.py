@@ -139,6 +139,21 @@ def test_zero_input_ratio_rejected():
         operator_ratio(ones_symbol(4), f, z)
 
 
+@pytest.mark.parametrize(
+    "value, m_value, period",
+    [(1e160, 1e-30, 1.0), (1e-100, 1.0, 1e-300), (1e134, 3e38, 1.0)],
+    ids=["norm-overflows", "norms-product-underflows", "l1-overflows"],
+)
+def test_operator_ratio_refuses_what_overflows(value, m_value, period):
+    # ||f||_2^2 = 5e320 overflows; ||f||_2 ||g||_2 = 5e-500 underflows to 0.0 though each
+    # norm is nonzero; the L1 norm of T_m(f, g) overflows.  Unchecked, these gave a ratio
+    # of 0.0, a ZeroDivisionError and a ratio of inf.
+    f = SpectralVector(FrequencyBox(1, 2, 2, period), np.full(5, value))
+    m = SymbolGrid(2, 2, np.full((5, 5), m_value), 1.0 / period)
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+        operator_ratio(m, f, f)
+
+
 @pytest.mark.parametrize("bad", [complex("nan"), complex(0, float("inf")), complex(float("-inf"), 1)],
                          ids=["nan", "inf-imag", "minus-inf-real"])
 @pytest.mark.parametrize("layout", ["c-order", "fortran", "strided"])

@@ -250,6 +250,81 @@ def test_write_symbol_refusal_leaves_no_half_pair(tmp_path):
     assert open(path + ".json").read() == "{}\n"
 
 
+def _fail_on_second_chunk(monkeypatch):
+    # the disk fills while the second chunk of samples is written
+    real = bimult.cli._chunks
+
+    def chunks(*args):
+        for i, part in enumerate(real(*args)):
+            if i == 1:
+                raise OSError(28, "No space left on device")
+            yield part
+
+    monkeypatch.setattr(bimult.cli, "_chunks", chunks)
+
+
+def test_write_symbol_failing_partway_leaves_nothing(tmp_path, monkeypatch):
+    m = SymbolGrid(2, 400, np.ones((801, 801)), 0.5)  # three chunks of samples
+    path = str(tmp_path / "s.bin")
+    with monkeypatch.context() as patched:
+        _fail_on_second_chunk(patched)
+        with pytest.raises(OSError, match="No space left on device"):
+            write_symbol(path, m, {})
+    assert os.listdir(tmp_path) == []  # no symbol file, no sidecar, no temporary file
+    write_symbol(path, m, {})  # nothing left behind to refuse
+    assert sorted(os.listdir(tmp_path)) == ["s.bin", "s.bin.json"]
+
+
+def test_failed_forced_rewrite_keeps_the_old_pair(tmp_path, monkeypatch):
+    path = str(tmp_path / "s.bin")
+    write_symbol(path, SymbolGrid(2, 400, np.ones((801, 801)), 0.5), {"run": 1})
+    pair = (tmp_path / "s.bin", tmp_path / "s.bin.json")
+    old = [p.read_bytes() for p in pair]
+    _fail_on_second_chunk(monkeypatch)
+    with pytest.raises(OSError, match="No space left on device"):
+        write_symbol(path, SymbolGrid(2, 400, np.full((801, 801), 2.0), 0.5), {"run": 2},
+                     force=True)
+    assert [p.read_bytes() for p in pair] == old
+    assert sorted(os.listdir(tmp_path)) == ["s.bin", "s.bin.json"]
+
+
+def test_report_failing_on_its_second_output_writes_none(tmp_path, capsys, monkeypatch):
+    run(["experiment", "counting", "--M", "2,3", "--seed", "1", "--out", str(tmp_path)])
+    rep = tmp_path / "rep"
+    opened = []
+
+    def failing_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            opened.append(file)
+            if len(opened) == 2:  # summary.csv is complete, the .dat file cannot be made
+                raise OSError(28, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    capsys.readouterr()
+    monkeypatch.setattr(bimult.cli, "open", failing_open, raising=False)
+    assert run(["report", str(tmp_path / "*.jsonl"), "--out", str(rep)]) == 1
+    assert _one_line_error(capsys, "No space left on device")
+    assert os.path.basename(opened[0]).startswith("summary.csv")
+    assert os.listdir(rep) == []
+
+
+def test_json_outputs_refuse_nan(tmp_path):
+    m = SymbolGrid(2, 1, np.ones((3, 3)), 0.5)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        write_symbol(str(tmp_path / "s.bin"), m, {"note": float("nan")})
+    assert os.listdir(tmp_path) == []
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+@pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+def test_gen_symbol_non_finite_exponent_is_one_line_error(tmp_path, capsys, value):
+    out = tmp_path / "sym.bin"
+    argv = ["gen-symbol", "--kind", "block-A", f"--exponent={value}", "--seed", "1"]
+    assert run(argv + ["--out", str(out)]) == 1
+    assert _one_line_error(capsys, f"--exponent must be a finite number, not {value}")
+    assert os.listdir(tmp_path) == []
+
+
 def test_symbol_file_bytes_are_pinned(tmp_path):
     # format v1: b"BMLT", <IIId (version, dim, radius, spacing), <c8 row-major
     m = SymbolGrid(2, 3, np.arange(49).reshape(7, 7) * (0.5 - 0.25j) + 1j / 3, 0.125)
@@ -474,6 +549,24 @@ def test_apply_zero_norm_input_is_one_line_error(tmp_path, capsys):
     assert err.startswith("error:") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not os.path.exists(out)
+
+
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
+@pytest.mark.parametrize(
+    "value, naming",
+    [(1e134, "operator ratio inf is not finite"), (1e135, "spectral values must be finite")],
+    ids=["l1-overflows", "spectrum-overflows"],
+)
+def test_apply_overflow_is_one_line_error(tmp_path, capsys, value, naming):
+    # m = 3e38 (complex64 holds it), f = g = value: T_m(f, g) or its L1 norm overflows
+    sym, fpath, out = (tmp_path / name for name in ("sym.bin", "f.json", "apply.json"))
+    write_symbol(str(sym), SymbolGrid(2, 2, np.full((5, 5), 3e38), 1.0), {})
+    fpath.write_text(spectral_to_json(SpectralVector(FrequencyBox(1, 2, 2, 1.0), np.full(5, value))))
+    capsys.readouterr()
+    argv = ["apply", "--symbol", str(sym), "--f", str(fpath), "--g", str(fpath), "--out", str(out)]
+    assert run(argv) == 1
+    assert _one_line_error(capsys, naming)
+    assert not out.exists()
 
 
 def test_apply_refuses_before_computing(tmp_path, monkeypatch):

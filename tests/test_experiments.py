@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import bimult.cli
 import bimult.experiments
 import bimult.symbols
 from bimult.experiments import (
@@ -21,7 +22,6 @@ from bimult.experiments import (
     khintchine_mc,
     run_experiment,
     substream,
-    write_records,
 )
 from bimult.bilinear import operator_ratio
 from bimult.experiments import (
@@ -199,11 +199,12 @@ def test_record_serialization_round_trip(tmp_path):
     back = ExperimentRecord.from_json_line(line)
     assert back.to_json_line() == line
     assert back.config_hash == rec.config_hash
-    path = tmp_path / "out.jsonl"
-    write_records(path, [rec])
+    path = str(tmp_path / "out.jsonl")  # written as the CLI's `experiment` writes it
+    bimult.cli._write_outputs({path: line + "\n"}, force=False)
     with pytest.raises(FileExistsError):
-        write_records(path, [rec])
-    write_records(path, [rec], force=True)
+        bimult.cli._write_outputs({path: line + "\n"}, force=False)
+    bimult.cli._write_outputs({path: line + "\n"}, force=True)
+    assert ExperimentRecord.from_json_line(Path(path).read_text()).to_json_line() == line
 
 
 def test_config_hash_canonical():
@@ -243,15 +244,16 @@ def test_growth_refuses_a_non_finite_ratio():
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
-def test_record_with_nan_or_infinity_is_refused(tmp_path, value):
-    good = run_experiment("counting", {"M": [2]}, master_seed=1)
+def test_record_with_nan_or_infinity_is_refused(tmp_path, monkeypatch, capsys, value):
     bad = ExperimentRecord("growth-A", {}, 1, [{"measured": value}], {"passed": True}, 0.0)
     with pytest.raises(ValueError, match="growth-A record holds NaN or Infinity"):
         bad.to_json_line()
-    path = tmp_path / "out.jsonl"
-    with pytest.raises(ValueError, match="NaN or Infinity"):
-        write_records(path, [good, bad])
-    assert not path.exists()  # every line is serialized before the file is opened
+    monkeypatch.setattr(bimult.cli, "run_experiment", lambda *args, **kwargs: bad)
+    out = tmp_path / "out"
+    assert bimult.cli.run(["experiment", "growth-A", "--seed", "1", "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: growth-A record holds NaN or Infinity\n"
+    assert not out.exists()  # the record is serialized before the directory is made
 
 
 def test_unknown_experiment_rejected():
