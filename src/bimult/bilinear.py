@@ -253,5 +253,6 @@ def _ratio(l1: float, norms: float) -> float:
 
 def operator_ratio(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> float:
     """||T_m(f,g)||_1 / (||f||_2 ||g||_2)."""
-    norms = _input_norms(f, g)
-    return _ratio(l1_norm(apply_bilinear(m, f, g)), norms)
+    with np.errstate(over="ignore", invalid="ignore"):  # an inf or NaN is refused, not warned of
+        norms = _input_norms(f, g)
+        return _ratio(l1_norm(apply_bilinear(m, f, g)), norms)

@@ -18,6 +18,7 @@ import json
 import os
 import struct
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -73,16 +74,19 @@ def _write_outputs(outputs: dict, force: bool) -> None:
     """Write each output of a command whole, or none of them: the package's one file writer.
 
     outputs maps each path to its text, or to a function that writes its bytes to an
-    open binary file.  Every path is refused if it exists (unless forced) before any
-    file is opened.  Each output goes to `<path>.<pid>.tmp` beside its path, and only
+    open binary file.  Every path is refused if it exists (unless forced) before any file
+    or directory is made.  Each output goes to `<path>.<pid>.tmp` beside its path, and only
     once all are complete is each moved onto its path by `os.replace`; on any error the
-    temporary files are removed, so a failed write leaves every old output as it was.
+    temporary files and the directories made for them go, so old outputs stay as they were.
     """
     for path in outputs:
         _guard_overwrite(path, force)
-    written = []
+    made, written = [], []  # directories made, innermost first; (temporary, target) pairs
     try:
         for path, content in outputs.items():
+            folder = Path(path).absolute().parent
+            made = [d for d in (folder, *folder.parents) if not d.exists()] + made
+            folder.mkdir(parents=True, exist_ok=True)
             with open(f"{path}.{os.getpid()}.tmp", "wb") as fh:
                 written.append((fh.name, path))
                 if callable(content):
@@ -95,6 +99,9 @@ def _write_outputs(outputs: dict, force: bool) -> None:
         for tmp, _ in written:
             with contextlib.suppress(FileNotFoundError):
                 os.remove(tmp)
+        for folder in made:  # each is empty once the temporary files are gone
+            with contextlib.suppress(OSError):
+                folder.rmdir()
         raise
 
 
@@ -282,12 +289,10 @@ def _cmd_experiment(args) -> int:
     seed = _require_seed(args)
     cfg = _experiment_config(args)
     # every record carries its config unchanged, so the output path is known up front
-    out_dir = args.out or "."
-    path = os.path.join(out_dir, f"{args.name}-{config_hash(cfg)}-{seed}.jsonl")
+    path = os.path.join(args.out or ".", f"{args.name}-{config_hash(cfg)}-{seed}.jsonl")
     _guard_overwrite(path, args.force)
     rec = run_experiment(args.name, cfg, seed, threads=args.threads)
     line = rec.to_json_line() + "\n"
-    os.makedirs(out_dir, exist_ok=True)  # only now: a refused config or record leaves no directory
     _write_outputs({path: line}, args.force)
     status = "PASS" if rec.summary.get("passed", True) else "FAIL"
     print(f"{args.name}: {status} ({path}, {rec.wall_clock:.2f}s)")
@@ -324,7 +329,6 @@ def _cmd_report(args) -> int:
         + [[rec.experiment_name, rec.config_hash, rec.master_seed]
            + [rec.summary.get(k, "") for k in keys] for rec in records]
     )
-    os.makedirs(args.out, exist_ok=True)
     _write_outputs({csv_path: table.getvalue(), **plots}, args.force)
     print(f"wrote {csv_path} ({len(records)} records)")
     return 0

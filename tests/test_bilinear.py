@@ -139,6 +139,7 @@ def test_zero_input_ratio_rejected():
         operator_ratio(ones_symbol(4), f, z)
 
 
+@pytest.mark.filterwarnings("error")  # a numpy overflow warning fails the test
 @pytest.mark.parametrize(
     "value, m_value, period",
     [(1e160, 1e-30, 1.0), (1e-100, 1.0, 1e-300), (1e134, 3e38, 1.0)],
@@ -147,10 +148,11 @@ def test_zero_input_ratio_rejected():
 def test_operator_ratio_refuses_what_overflows(value, m_value, period):
     # ||f||_2^2 = 5e320 overflows; ||f||_2 ||g||_2 = 5e-500 underflows to 0.0 though each
     # norm is nonzero; the L1 norm of T_m(f, g) overflows.  Unchecked, these gave a ratio
-    # of 0.0, a ZeroDivisionError and a ratio of inf.
+    # of 0.0, a ZeroDivisionError and a ratio of inf.  No numpy warning comes first: the
+    # norms' and the L1 norm's overflows are refused, not warned of.
     f = SpectralVector(FrequencyBox(1, 2, 2, period), np.full(5, value))
     m = SymbolGrid(2, 2, np.full((5, 5), m_value), 1.0 / period)
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="finite"):
+    with pytest.raises(ValueError, match="finite"):
         operator_ratio(m, f, f)
 
 

@@ -132,6 +132,7 @@ def test_growth_rejects_empty_blocks_and_pool(tmp_path, capsys, name, config, na
         ("growth-B", {"band_hi": 10**400}, "band_hi must be a finite number"),
         ("levelset", {"alphas": [float("inf")]}, "alphas entry must be a finite number"),
         ("khintchine --resolution 7", {}, "not 'resolution'"),
+        ("khintchine", {"sizes": [1, 2, 21]}, "sizes entry must be >= 1 and <= 20"),
     ],
 )
 def test_experiment_rejects_configs_that_check_nothing(tmp_path, capsys, command, config, naming):
@@ -305,7 +306,27 @@ def test_report_failing_on_its_second_output_writes_none(tmp_path, capsys, monke
     assert run(["report", str(tmp_path / "*.jsonl"), "--out", str(rep)]) == 1
     assert _one_line_error(capsys, "No space left on device")
     assert os.path.basename(opened[0]).startswith("summary.csv")
-    assert os.listdir(rep) == []
+    assert not rep.exists()
+
+
+def test_experiment_failing_on_its_write_leaves_no_directory(tmp_path, capsys, monkeypatch):
+    def failing_open(file, mode="r", *args, **kwargs):
+        if "w" in mode:
+            raise OSError(28, "No space left on device")
+        return open(file, mode, *args, **kwargs)
+
+    monkeypatch.setattr(bimult.cli, "open", failing_open, raising=False)
+    out = tmp_path / "runs" / "today"
+    assert run(["experiment", "counting", "--M", "2,3", "--seed", "1", "--out", str(out)]) == 1
+    assert _one_line_error(capsys, "No space left on device")
+    assert os.listdir(tmp_path) == []
+
+
+def test_outputs_go_into_missing_directories(tmp_path, matrix_file):
+    # every command makes a missing output directory; the writer is shared, so one stands for all
+    part = tmp_path / "new" / "part.json"
+    assert run(["decompose", "--in", matrix_file, "--out", str(part)]) == 0
+    assert json.loads(part.read_text()) == [[0, 0, "S1"]]
 
 
 def test_json_outputs_refuse_nan(tmp_path):

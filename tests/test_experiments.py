@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -61,6 +62,48 @@ def test_khintchine_mc_thread_invariant():
     r4 = khintchine_mc(a, 10_000, seed=3, threads=4)
     r8 = khintchine_mc(a, 10_000, seed=3, threads=8)
     assert r1 == r4 == r8
+
+
+def _khintchine_one_shot(a):
+    """The whole 2^L x L sign table in one matrix product: the oracle for the blocked
+    enumeration of `khintchine_exact`."""
+    a = np.asarray(a, dtype=float)
+    bits = (np.arange(2**a.size)[:, None] >> np.arange(a.size)) & 1
+    mean_abs = float(np.mean(np.abs((2.0 * bits - 1.0) @ a)))
+    return mean_abs, mean_abs / float(np.linalg.norm(a))
+
+
+def test_khintchine_exact_equals_the_one_shot_enumeration():
+    # from L = 13 on, 2^L patterns span more than one block of 4096
+    rng = np.random.default_rng(20)
+    vectors = [[1.0], np.full(16, 0.25), np.full(17, 3.0)]
+    for L in range(1, 18):
+        vectors += [rng.standard_normal(L) * 10.0 ** rng.uniform(-3.0, 3.0, L) for _ in range(2)]
+    for a in vectors:
+        assert khintchine_exact(a) == _khintchine_one_shot(a)
+
+
+def test_khintchine_exact_memory_is_one_array_plus_a_block():
+    # the one-shot table of 2^18 x 18 int64 bits and its float copies peak at 76 MiB
+    a = np.random.default_rng(18).standard_normal(18)
+    tracemalloc.start()
+    try:
+        khintchine_exact(a)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * 2**20
+
+
+def test_khintchine_refuses_sizes_above_20_before_any_draw(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("signs drawn before the config was refused")
+
+    monkeypatch.setattr(bimult.experiments, "khintchine_mc", no_draw)
+    with pytest.raises(ValueError, match="sizes entry must be >= 1 and <= 20"):
+        run_experiment("khintchine", {"sizes": [1, 2, 21]}, 0)
+    with pytest.raises(ValueError, match="limited to 20"):
+        khintchine_exact(np.ones(21))
 
 
 def test_khintchine_rejects_zero_vector():
