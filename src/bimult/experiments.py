@@ -132,7 +132,9 @@ class ExperimentRecord:
         if not (isinstance(d, dict) and all(isinstance(d.get(k), t) for k, t in shape.items())
                 and all(isinstance(row, dict) for row in d["perTrialResults"])):
             raise ValueError("not an experiment record (keys and types as to_json_line writes)")
-        return cls(*(d[key] for key in shape), wall_clock=0.0)
+        rec = cls(*(d[key] for key in shape), wall_clock=0.0)
+        rec.to_json_line()  # refuses what it could not write: NaN, +-Infinity, 1e400 (inf)
+        return rec
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ data: distinct lattice points stay distinct mod P.
 from __future__ import annotations
 
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from itertools import chain
@@ -143,8 +144,15 @@ def synthesize_direct(spec: SpectralVector) -> PhysicalField:
 
 
 def l2_norm(spec: SpectralVector) -> float:
-    """L2 norm via Plancherel: Euclidean norm of the spectrum, scaled by L^(dim/2)."""
-    return float(np.linalg.norm(spec.values)) * spec.box.period ** (spec.box.dim / 2)
+    """L2 norm via Plancherel: Euclidean norm of the spectrum, scaled by L^(dim/2).  Each |re|
+    and |im| is scaled by 2^-e, 2^e just above the largest, before it is squared, and the norm
+    by 2^e after: powers of two scale exactly, so squares that would overflow or underflow do
+    not, and any other norm keeps every bit."""
+    parts = np.abs(spec.values.ravel(order="K").view(float))  # in np.linalg.norm's order
+    e = math.frexp(float(parts.max()))[1]
+    norm = float(np.linalg.norm(np.ldexp(parts, -e, out=parts).view(complex)))
+    # 2^e as two representable factors; a norm beyond the largest float becomes inf
+    return norm * 2.0 ** (e // 2) * 2.0 ** (e - e // 2) * spec.box.period ** (spec.box.dim / 2)
 
 
 def l1_norm(fld: PhysicalField) -> float:

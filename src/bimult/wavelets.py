@@ -16,7 +16,9 @@ pairing with the periodized wavelet.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import product
+from operator import index
 
 import numpy as np
 
@@ -98,8 +100,34 @@ def _grid_spectrum(m: SymbolGrid):
     return freqs, mhat
 
 
+class _BetaTable(Mapping):
+    """Read-only beta -> complex view of one (j, G) coefficient `array` over beta in
+    range(-beta_max, beta_max + 1)^dim; keys iterate in product() order, the row-major one."""
+
+    def __init__(self, array: np.ndarray):
+        array.flags.writeable = False
+        self.array, self._beta_max = array, len(array) // 2
+
+    def __len__(self) -> int:
+        return self.array.size
+
+    def __iter__(self):
+        return product(range(-self._beta_max, self._beta_max + 1), repeat=self.array.ndim)
+
+    def __getitem__(self, beta) -> complex:
+        try:
+            idx = tuple(index(b) + self._beta_max for b in beta)
+        except TypeError:
+            raise KeyError(beta) from None
+        if len(idx) != self.array.ndim or not all(0 <= i < len(self.array) for i in idx):
+            raise KeyError(beta)
+        return self.array.item(idx)
+
+
 def wavelet_coefficients(m: SymbolGrid, j_max: int) -> dict:
     """Inner products against the product family, keyed (j, G) -> {beta: coeff}.
+
+    Each table is a read-only `_BetaTable` over one complex128 array, in product() order.
 
     Requires the grid resolution 1/spacing to be divisible by 2^(j_max - 1)
     so that the translation lattice at every scale lands on grid strides.
@@ -134,21 +162,18 @@ def wavelet_coefficients(m: SymbolGrid, j_max: int) -> dict:
         dOmega = (1.0 / (P * m.spacing)) ** d
         table = np.fft.ifftn(filt) * P**d * dOmega * lam**-n
         beta_max = (P // 2 - 1) // stride
-        betas = range(-beta_max, beta_max + 1)
-        # one gather; row-major order of the sub-table is the order product() yields
-        axis_idx = (np.array(betas) * stride) % P
-        sub = table[np.ix_(*[axis_idx] * d)]
-        out[(j, G)] = dict(zip(product(betas, repeat=d), sub.ravel().tolist()))
+        axis_idx = (np.arange(-beta_max, beta_max + 1) * stride) % P
+        out[(j, G)] = _BetaTable(table[np.ix_(*[axis_idx] * d)])
     return out
 
 
 def lemma_discrete_ratio(m: SymbolGrid, j: int, G: tuple, coeffs: dict | None = None) -> float:
-    """2^(jn/2) * weak-l4 of the (j, G) coefficients over weak-L4 of the symbol."""
+    """2^(jn/2) * weak-l4 of the (j, G) coefficients over weak-L4 of the symbol; `coeffs`
+    is the output of `wavelet_coefficients` with j_max >= j."""
     denom = weak_quasinorm(m.measured(), 4.0)
     if denom == 0.0:
         raise ValueError("symbol has zero weak norm")
     if coeffs is None:
         coeffs = wavelet_coefficients(m, j)
-    a = np.array(list(coeffs[(j, G)].values()))
-    num = weak_quasinorm(MeasuredValues.of(a), 4.0)
+    num = weak_quasinorm(MeasuredValues.of(coeffs[(j, G)].array), 4.0)
     return 2.0 ** (j * m.n / 2.0) * num / denom

@@ -13,9 +13,12 @@ import re
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import bimult
+import bimult.wavelets
+from bimult.bilinear import SymbolGrid
 
 MODULES = (
     "bimult.bumps",
@@ -53,14 +56,40 @@ def test_package_exports_resolve():
             assert alias.name in mod.__all__, (node.module, alias.name)
 
 
-def test_traced_targets_exist(monkeypatch):
+@pytest.fixture()
+def spans(monkeypatch):
+    """`bench/spans.py`, imported from its file."""
     spec = importlib.util.spec_from_file_location("bench_spans", SPANS)
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, "bench_spans", spans)  # its dataclasses look it up
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_traced_targets_exist(spans):
     assert spans.TARGETS
     for module, fname, *_ in spans.TARGETS:
+        assert module in spans.MODULES, module  # else calls through it go untraced
         assert callable(getattr(importlib.import_module(module), fname, None)), (module, fname)
+
+
+def test_traced_wavelet_step_records_every_span(spans):
+    # the benchmark's wavelet corpus loop: its spans and their counts must not read 0
+    untraced = (bimult.wavelets.wavelet_coefficients, bimult.wavelets.lemma_discrete_ratio)
+    values = np.outer(np.hanning(33), np.hanning(33)).astype(complex)
+    sym = SymbolGrid(2, 16, values, 1.0 / 4)
+    tracer = spans.Tracer()
+    with tracer.installed():
+        coeffs = bimult.wavelets.wavelet_coefficients(sym, 2)
+        for j, G in coeffs:
+            bimult.wavelets.lemma_discrete_ratio(sym, j, G, coeffs)
+    assert (bimult.wavelets.wavelet_coefficients, bimult.wavelets.lemma_discrete_ratio) == untraced
+    names = [sp.name for sp in tracer.spans]
+    assert names.count("wavelets.wavelet_coefficients") == 1
+    assert names.count("wavelets.lemma_discrete_ratio") == len(coeffs)
+    sorted_values = [sp.counts["lorentz.sorted_values"] for sp in tracer.spans
+                     if sp.name == "lorentz.weak_quasinorm"]
+    assert sorted_values == [n for table in coeffs.values() for n in (values.size, len(table))]
 
 
 def _opens_for_writing(node) -> bool:

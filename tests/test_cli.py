@@ -207,8 +207,15 @@ def test_report_refuses_before_writing_anything(tmp_path, capsys):
      '{"experimentName": "counting", "config": {}, "masterSeed": 1, "perTrialResults": [],'
      ' "summary": [1]}',
      '{"experimentName": "counting", "config": {}, "masterSeed": 1, "perTrialResults": [1],'
-     ' "summary": {}}'],
-    ids=["list", "empty", "not-json", "summary-list", "row-int"],
+     ' "summary": {}}',
+     '{"experimentName": "counting", "config": {}, "masterSeed": 1, "perTrialResults": [],'
+     ' "summary": {"low": NaN, "high": Infinity}}',
+     '{"experimentName": "counting", "config": {}, "masterSeed": 1,'
+     ' "perTrialResults": [{"M": -Infinity}], "summary": {}}',
+     '{"experimentName": "counting", "config": {"M": [1e400]}, "masterSeed": 1,'
+     ' "perTrialResults": [], "summary": {}}'],
+    ids=["list", "empty", "not-json", "summary-list", "row-int", "summary-nan", "row-infinity",
+         "config-overflows"],
 )
 def test_report_malformed_record_is_one_line_error(tmp_path, capsys, line):
     run(["experiment", "counting", "--M", "2,3", "--seed", "1", "--out", str(tmp_path)])

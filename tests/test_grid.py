@@ -65,6 +65,34 @@ def test_plancherel_exact():
     )
 
 
+# a magnitude whose square is a normal float: the unscaled formula neither overflows nor
+# loses bits to underflow where it matters
+in_range = st.one_of(st.just(0.0), st.floats(1e-100, 1e100), st.floats(-1e100, -1e-100))
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), dim=st.integers(1, 2), radius=st.integers(1, 3),
+       period=st.sampled_from([0.5, 1.0, 3.0]))
+def test_l2_norm_keeps_the_bits_of_the_unscaled_norm(data, dim, radius, period):
+    box = FrequencyBox(dim, radius, period=period)
+    n = box.n_lattice**dim
+    parts = np.array(data.draw(st.lists(in_range, min_size=2 * n, max_size=2 * n)))
+    values = (parts[0::2] + 1j * parts[1::2]).reshape(box.lattice_shape)
+    values = data.draw(st.sampled_from([values, values.T.copy().T]))  # C or Fortran order
+    unscaled = float(np.linalg.norm(values)) * period ** (dim / 2)
+    assert l2_norm(SpectralVector(box, values)).hex() == unscaled.hex()
+
+
+@pytest.mark.parametrize("value, expected", [(1e160, 5**0.5 * 1e160), (1e-170, 5**0.5 * 1e-170),
+                                             (1e308j, np.inf), (5e-324, 1e-323)],
+                         ids=["squares-overflow", "squares-underflow", "norm-overflows",
+                              "subnormal"])
+def test_l2_norm_where_the_squares_leave_the_float_range(value, expected):
+    # unscaled, 1e160 and 1e-170 at 5 points gave inf and 0.0
+    f = SpectralVector(FrequencyBox(1, 2, 2, 1.0), np.full(5, value))
+    assert l2_norm(f) == pytest.approx(expected, rel=1e-15, abs=0.0)
+
+
 def test_l1_le_l2_on_probability_measure():
     # with period 1 the torus has unit measure, so ||u||_1 <= ||u||_2
     box = FrequencyBox(1, 8, oversample=4, period=1.0)

@@ -1,14 +1,17 @@
 """Meyer product-wavelet profiles, coefficients, and the scale-decay ratio."""
 
 import hashlib
+from itertools import product
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bimult.bilinear import SymbolGrid
 from bimult.bumps import BumpSpec
 from bimult.experiments import substream
-from bimult.lorentz import weak_quasinorm
+from bimult.lorentz import MeasuredValues, weak_quasinorm
 from bimult.rowcol import CoeffMatrix
 from bimult.symbols import lattice_symbol
 from bimult.wavelets import (
@@ -178,3 +181,70 @@ def coefficient_digest(coeffs: dict) -> str:
 )
 def test_corpus_coefficients_are_pinned(t, digest):
     assert coefficient_digest(wavelet_coefficients(criterion_9_draw(t), 4)) == digest
+
+
+def dict_oracle(m: SymbolGrid, coeffs: dict) -> dict:
+    """The {beta: coeff} dicts `wavelet_coefficients` once built from each gathered array."""
+    res = round(1.0 / m.spacing)
+    out = {}
+    for (j, G), table in coeffs.items():
+        stride = res // (1 if j == 0 else 2 ** (j - 1))
+        beta_max = (m.radius - 1) // stride
+        betas = range(-beta_max, beta_max + 1)
+        sub = table.array
+        out[(j, G)] = dict(zip(product(betas, repeat=m.dim), sub.ravel().tolist()))
+    return out
+
+
+def oracle_ratio(m: SymbolGrid, j: int, G: tuple, oracle: dict) -> float:
+    """`lemma_discrete_ratio` as computed from a dict table."""
+    a = np.array(list(oracle[(j, G)].values()))
+    num = weak_quasinorm(MeasuredValues.of(a), 4.0)
+    return 2.0 ** (j * m.n / 2.0) * num / weak_quasinorm(m.measured(), 4.0)
+
+
+def assert_tables_match_the_oracle(m: SymbolGrid, j_max: int):
+    coeffs = wavelet_coefficients(m, j_max)
+    oracle = dict_oracle(m, coeffs)
+    assert list(coeffs) == list(oracle)
+    for key, table in coeffs.items():
+        assert list(table) == list(oracle[key])  # key order
+        assert all(type(c) is complex for c in table.values())
+        bits = [(beta, c.real.hex(), c.imag.hex()) for beta, c in table.items()]
+        assert bits == [(beta, c.real.hex(), c.imag.hex()) for beta, c in oracle[key].items()]
+        assert lemma_discrete_ratio(m, *key, coeffs) == oracle_ratio(m, *key, oracle)
+
+
+@pytest.mark.parametrize("t", range(10))
+def test_corpus_tables_match_the_dict_oracle(t):
+    assert_tables_match_the_oracle(criterion_9_draw(t), 4)
+
+
+@settings(max_examples=25, deadline=None)
+@given(radius=st.integers(1, 12), res_exp=st.integers(0, 3), data=st.data(),
+       seed=st.integers(0, 2**32 - 1))
+def test_small_symbol_tables_match_the_dict_oracle(radius, res_exp, data, seed):
+    j_max = data.draw(st.integers(0, res_exp + 1))
+    rng = np.random.default_rng(seed)
+    shape = (2 * radius + 1,) * 2
+    values = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    assert_tables_match_the_oracle(SymbolGrid(2, radius, values, 2.0**-res_exp), j_max)
+
+
+def test_table_is_a_read_only_mapping():
+    table = wavelet_coefficients(criterion_9_draw(0), 2)[(2, ("M", "F"))]
+    beta_max = (len(table.array) - 1) // 2
+    assert len(table) == table.array.size == (2 * beta_max + 1) ** 2
+    corner = (beta_max, -beta_max)
+    assert corner in table and (0, 0) in table
+    assert table[corner] == table.array[-1, 0] and type(table[corner]) is complex
+    for outside in [(beta_max + 1, 0), (0, -beta_max - 1), (0,), (0, 0, 0), (0.0, 0), "ab", 3]:
+        assert outside not in table
+        with pytest.raises(KeyError):
+            table[outside]
+    assert table.get((beta_max + 1, 0)) is None
+    assert not table.array.flags.writeable
+    with pytest.raises(ValueError):
+        table.array[0, 0] = 1.0
+    with pytest.raises(TypeError):
+        table[(0, 0)] = 1.0
