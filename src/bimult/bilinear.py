@@ -106,16 +106,11 @@ def _band(radius: int, F: int, axes: int) -> tuple[slice, ...]:
     return (slice(radius - F, radius + F + 1),) * axes
 
 
-def _symbol_block(m: SymbolGrid, F: int) -> np.ndarray:
-    """Symbol restricted to the input band, reshaped (xi-axes..., eta-axes...)."""
-    return m.values[_band(m.radius, F, m.dim)]
-
-
 def _accumulate(rows: Iterable[tuple[tuple[int, ...], np.ndarray]], f: SpectralVector,
                 g: SpectralVector) -> SpectralVector:
     """Spectrum u(zeta) = sum_{xi+eta=zeta} m f g of T_m(f, g) on the doubled band, for
-    `output_spectrum`, `stream_output_spectrum` and `symbols`' `block_output_spectrum`:
-    the one sum of that spectrum but for its oracle, `apply_bilinear`'s mode "direct".
+    `stream_output_spectrum` and `symbols`' `block_output_spectrum`: the one sum of that
+    spectrum but for its oracle, `apply_bilinear`'s mode "direct".
 
     rows yields (xi, m(xi, .)) for xi of f's box in row-major order, each row
     restricted to the input band; the callers leave out the rows that are
@@ -147,28 +142,26 @@ def _accumulate(rows: Iterable[tuple[tuple[int, ...], np.ndarray]], f: SpectralV
 
 
 def output_spectrum(m: SymbolGrid, f: SpectralVector, g: SpectralVector) -> SpectralVector:
-    """Spectrum u(zeta) = sum_{xi+eta=zeta} m f g of T_m(f, g) on the doubled band.
-
-    The xi-rows of the band block that are all zero are skipped (see `_accumulate`).
-    """
-    _check_compat(m.n, m.radius, m.spacing, f, g)
-    block = _symbol_block(m, f.box.radius)
-    xis = map(tuple, np.argwhere(_nonzero_rows(block, m.n)).tolist())  # row-major
-    return _accumulate(((xi, block[xi]) for xi in xis), f, g)
+    """Spectrum u(zeta) = sum_{xi+eta=zeta} m f g of T_m(f, g) on the doubled band:
+    `stream_output_spectrum` of m's xi-rows, all in one chunk."""
+    rows = m.values.reshape((-1,) + m.values.shape[m.n:])
+    return stream_output_spectrum([(rows, _nonzero_rows(rows, m.n))], m.n, m.radius, m.spacing,
+                                  f, g)
 
 
 def stream_output_spectrum(
     chunks: Iterable[tuple[np.ndarray, np.ndarray]], n: int, radius: int, spacing: float,
     f: SpectralVector, g: SpectralVector,
 ) -> SpectralVector:
-    """`output_spectrum` of a symbol given as chunks of its xi-rows instead of a SymbolGrid.
+    """Spectrum of T_m(f, g) for a symbol m given as chunks of its xi-rows: the one row
+    selection behind `output_spectrum` (a grid, one chunk) and the CLI's `apply` (a file).
 
     chunks yields pairs (rows, _nonzero_rows(rows, n)), rows C-contiguous and shaped
     (rows,) + (2 radius + 1,) * n: the eta-samples m(xi, .) for every xi of
     {-radius..radius}^n in row-major order, a few rows at a time.  f and g are checked
     against (n, radius, spacing) before the first chunk is drawn; every chunk is drawn,
-    and the rows outside f's band or all zero are skipped.  The result equals, bit for
-    bit, `output_spectrum` on the SymbolGrid of these rows.
+    and the rows outside f's band or all zero are skipped (see `_accumulate`), so any
+    split of the same rows into chunks gives the same bits.
     """
     _check_compat(n, radius, spacing, f, g)
     F = f.box.radius
@@ -206,7 +199,7 @@ def apply_bilinear(
     n = f.box.dim
     F = f.box.radius
     box_out = _output_box(f)
-    block = _symbol_block(m, F)
+    block = m.values[_band(m.radius, F, m.dim)]
 
     if mode == "direct":
         P = box_out.n_phys

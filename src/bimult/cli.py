@@ -18,6 +18,7 @@ import json
 import os
 import struct
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,6 @@ from . import __version__
 from .bilinear import (
     SymbolGrid, _all_finite, _input_norms, _nonzero_rows, _ratio, stream_output_spectrum,
 )
-from .bumps import BumpSpec
 from .experiments import (
     EXPERIMENTS,
     ExperimentRecord,
@@ -40,6 +40,7 @@ from .rowcol import CoeffMatrix, decompose, verify_partition
 from .symbols import (
     CounterexampleAConfig,
     CounterexampleBConfig,
+    _PSI,
     block_A_symbol,
     counterexample_B_block,
     lattice_symbol,
@@ -182,10 +183,7 @@ def read_symbol(path: str) -> SymbolGrid:
         for chunk, _ in chunks:
             rows[start : start + len(chunk)] = chunk
             start += len(chunk)
-    # header and every chunk are checked: skip SymbolGrid's second scan of all samples
-    m = object.__new__(SymbolGrid)
-    m.__dict__.update(dim=dim, radius=radius, values=values, spacing=spacing, provenance=None)
-    return m
+    return SymbolGrid(dim, radius, values, spacing)
 
 
 def _require_seed(args) -> int:
@@ -209,7 +207,7 @@ def _cmd_gen_symbol(args) -> int:
             raise ValueError("--kind lattice requires --coeffs")
         with open(args.coeffs) as fh:
             c = CoeffMatrix.from_json(fh.read())
-        m = lattice_symbol(c, BumpSpec(radius=0.1, plateau=0.05), args.resolution)
+        m = lattice_symbol(c, _PSI, args.resolution)
         cfg["coeffs"] = args.coeffs
     elif args.kind == "block-A":
         cfg.update(K=args.K, exponent=_finite("--exponent", args.exponent), seed=seed)
@@ -291,11 +289,13 @@ def _cmd_experiment(args) -> int:
     # every record carries its config unchanged, so the output path is known up front
     path = os.path.join(args.out or ".", f"{args.name}-{config_hash(cfg)}-{seed}.jsonl")
     _guard_overwrite(path, args.force)
+    t0 = time.perf_counter()
     rec = run_experiment(args.name, cfg, seed, threads=args.threads)
+    wall = time.perf_counter() - t0
     line = rec.to_json_line() + "\n"
     _write_outputs({path: line}, args.force)
     status = "PASS" if rec.summary.get("passed", True) else "FAIL"
-    print(f"{args.name}: {status} ({path}, {rec.wall_clock:.2f}s)")
+    print(f"{args.name}: {status} ({path}, {wall:.2f}s)")
     return 0 if rec.summary.get("passed", True) else 2
 
 
@@ -401,7 +401,8 @@ def run(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         return args.fn(args)
-    except (ValueError, KeyError, OSError, MemoryError, OverflowError) as exc:
+    # RecursionError: JSON nested deeper than the interpreter's recursion limit
+    except (ValueError, KeyError, OSError, MemoryError, OverflowError, RecursionError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

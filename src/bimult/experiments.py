@@ -4,15 +4,14 @@ Every experiment is a pure function of (config, master seed): randomness is
 drawn from per-trial substreams derived by hashing the master seed with the
 trial index, and reductions run in a fixed order, so results are identical
 for any worker count.  Results are packaged as ExperimentRecord and can be
-serialized to JSON Lines; the serialized form deliberately excludes the wall
-clock so that reruns are byte-identical.
+serialized to JSON Lines; a record holds no wall clock, so that reruns are
+byte-identical.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
@@ -25,6 +24,8 @@ from .rowcol import CoeffMatrix
 from .symbols import (
     CounterexampleAConfig,
     CounterexampleBConfig,
+    _PHI_HAT,
+    _PSI,
     _antidiagonal_signs,
     _bump_train,
     _hash64,
@@ -34,7 +35,6 @@ from .symbols import (
     count_representations,
     lattice_symbol,
 )
-from .bumps import BumpSpec
 
 __all__ = [
     "ExperimentRecord",
@@ -100,14 +100,12 @@ class ExperimentRecord:
     master_seed: int
     per_trial_results: list = field(repr=False)
     summary: dict
-    wall_clock: float
 
     @property
     def config_hash(self) -> str:
         return config_hash(self.config)
 
     def to_json_line(self) -> str:
-        # wall clock excluded: serialized records are byte-stable across reruns;
         # NaN and Infinity refused: they are not JSON, and a check passed on them says nothing
         try:
             return canonical_json(
@@ -132,7 +130,7 @@ class ExperimentRecord:
         if not (isinstance(d, dict) and all(isinstance(d.get(k), t) for k, t in shape.items())
                 and all(isinstance(row, dict) for row in d["perTrialResults"])):
             raise ValueError("not an experiment record (keys and types as to_json_line writes)")
-        rec = cls(*(d[key] for key in shape), wall_clock=0.0)
+        rec = cls(*(d[key] for key in shape))
         rec.to_json_line()  # refuses what it could not write: NaN, +-Infinity, 1e400 (inf)
         return rec
 
@@ -184,14 +182,12 @@ def _experiment(name: str, **fields):
 
     def register(body):
         def run(config: dict, master_seed: int, threads: int = 1) -> ExperimentRecord:
-            t0 = time.perf_counter()
             for key in config:
                 _one_of(*fields)(f"{name} config key", key)
             settings = {key: check(key, config[key] if key in config else default)
                         for key, (default, check) in fields.items()}
             rows, summary = body(master_seed, threads, **settings)
-            wall = time.perf_counter() - t0
-            return ExperimentRecord(name, config, master_seed, rows, summary, wall)
+            return ExperimentRecord(name, config, master_seed, rows, summary)
 
         run.__name__, run.__doc__ = body.__name__, body.__doc__
         run.fields = fields
@@ -452,8 +448,6 @@ def run_growth_B(master_seed, threads, *, mode, N, resolution, pool, band_lo, ba
 # boundedness corpora
 
 
-_CORPUS_PSI = BumpSpec(radius=0.1, plateau=0.05)
-_CORPUS_PHI = BumpSpec(radius=0.2, plateau=0.1)
 _CORPUS_LATTICE_RADIUS = 4  # coefficient indices drawn from [-4, 4]^2
 _CORPUS_INPUT_RADIUS = 16  # input lattice radius, capped at the symbol's
 _CORPUS_BASELINE_FACTOR = 3.0  # pass: max normalized ratio <= 3 x the single-bump baseline
@@ -469,7 +463,7 @@ def _aligned_inputs(box: FrequencyBox, resolution: int) -> SpectralVector:
     """All-ones bumps at the integer lattice frequencies inside the band."""
     F = box.radius
     centers = range(-F // resolution, F // resolution + 1)
-    return SpectralVector(box, _bump_train(_CORPUS_PHI, F, resolution, centers))
+    return SpectralVector(box, _bump_train(_PHI_HAT, F, resolution, centers))
 
 
 def _corpus_symbol(f_mode: str, rng, resolution: int):
@@ -482,7 +476,7 @@ def _corpus_symbol(f_mode: str, rng, resolution: int):
             keep[M, M], vals[M, M] = True, 1.0
         k, l = np.nonzero(keep)  # row-major
         c = CoeffMatrix._of(k - M, l - M, vals[keep])
-        m = lattice_symbol(c, _CORPUS_PSI, resolution)
+        m = lattice_symbol(c, _PSI, resolution)
         norm = c.weak4() if f_mode == "lattice" else besov_norm(m)
         return m, norm
     if f_mode == "fourier_compact":
@@ -507,7 +501,7 @@ def _corpus_symbol(f_mode: str, rng, resolution: int):
 def _single_bump_baseline(f_mode: str, resolution: int) -> float:
     """Normalized ratio of the one-coefficient symbol against the delta inputs."""
     c = CoeffMatrix({(0, 0): 1.0 + 0.0j})
-    m = lattice_symbol(c, _CORPUS_PSI, resolution)
+    m = lattice_symbol(c, _PSI, resolution)
     if f_mode == "lattice":
         norm = c.weak4()
     elif f_mode == "besov":
@@ -612,13 +606,10 @@ def run_counting(master_seed, threads, *, M):
 
 
 _LEVELSET_GRID_BLOCKS = (2,)  # blocks whose coefficient count is checked on a grid
+_LEVELSET_FRACTIONS = (0.9, 0.5, 0.1)  # the levels lambda, as fractions of each block's amplitude
 
 
-def levelset_profile(
-    cfg: CounterexampleBConfig,
-    alphas=(1.0, 2.0),
-    lambda_fractions=(0.9, 0.5, 0.1),
-) -> list[dict]:
+def levelset_profile(cfg: CounterexampleBConfig, alphas=(1.0, 2.0)) -> list[dict]:
     """Level-set measures of the multi-block symbol vs lambda^-4 log^-alpha(e/lambda).
 
     Measures are additive over the disjoint blocks; the coefficient path sums
@@ -628,7 +619,7 @@ def levelset_profile(
     """
     amps = {N: cfg.amplitude(N) for N in cfg.Ns}
     lambdas = sorted(
-        {frac * amp for amp in amps.values() for frac in lambda_fractions},
+        {frac * amp for amp in amps.values() for frac in _LEVELSET_FRACTIONS},
         reverse=True,
     )
     grids = {}

@@ -65,20 +65,16 @@ def _hash64(*keys: int) -> int:
 class SignAssignment:
     """Reproducible iid signs: same (seed, index) always gives the same sign.
 
-    The sign of index l is +1 when `_hash64(seed, *l)` is odd, else -1.  `signs`
-    gives the same bits for a range of ints at hash speed: the packed seed is
-    hashed once into a blake2b prefix, and each l copies that state and adds its
-    own 8 bytes, which digests exactly the bytes `_hash64(seed, l)` hashes.
+    The sign of index l is +1 when `_hash64(seed, l)` is odd, else -1.  `signs`
+    computes it for a range of ints at hash speed: the packed seed is hashed
+    once into a blake2b prefix, and each l copies that state and adds its own
+    8 bytes, which digests exactly the bytes `_hash64(seed, l)` hashes.
     """
 
     seed: int
 
-    def sign(self, l) -> int:
-        idx = l if isinstance(l, tuple) else (int(l),)
-        return 1 if _hash64(self.seed, *idx) & 1 else -1
-
     def signs(self, ls: range) -> list[int]:
-        """[sign(l) for l in ls], bit for bit."""
+        """The sign of each l in ls, in order."""
         copy = hashlib.blake2b(_pack64(self.seed), digest_size=8).copy
         if ls:  # a range lies between its endpoints: checking those checks every l
             _pack64(ls[0])
@@ -147,6 +143,10 @@ def power_shell_sequence(box_radius: int, exponent: float) -> ShellSequence:
 # lattice-bump symbols
 
 
+_PSI = BumpSpec(radius=0.1, plateau=0.05)  # every symbol bump: radius 1/10 keeps them disjoint
+_PHI_HAT = BumpSpec(radius=0.2, plateau=0.1)  # a test-function bump: its plateau covers _PSI
+
+
 def _check_symbol_grid(psi: BumpSpec, resolution: int) -> None:
     """At least one sample per unit cell, and bumps of radius <= 1/10 around
     lattice points, which are then pairwise disjoint.
@@ -188,11 +188,12 @@ def _stamp(coeffs: np.ndarray, corner: tuple[int, int], psi: BumpSpec, resolutio
     return R, C, S.reshape(len(R), len(C))
 
 
-def _stamped_grid(F: int, coeffs: np.ndarray, corner: tuple, psi: BumpSpec, resolution: int):
-    """The (2F+1)^2 samples of the stamp of `coeffs` at `corner`; the grid is allocated
-    first, so one too large to hold is refused before any stamping."""
+def _stamped_grid(F: int, coeffs, corner: tuple, psi: BumpSpec, resolution: int):
+    """The (2F+1)^2 samples of the stamp of the coefficient box `coeffs()` at `corner`.
+    The grid is allocated before `coeffs` is called, so one too large to hold is
+    refused before any coefficient is drawn or stamped."""
     values = np.zeros((2 * F + 1, 2 * F + 1), dtype=complex)
-    R, C, S = _stamp(coeffs, corner, psi, resolution)
+    R, C, S = _stamp(coeffs(), corner, psi, resolution)
     values[np.ix_(R, C)] = S
     return values
 
@@ -218,7 +219,7 @@ def lattice_symbol(c: CoeffMatrix, psi: BumpSpec, resolution: int) -> SymbolGrid
     F = r * (max(map(abs, lo + hi)) + 1)
     box = np.zeros((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1), dtype=complex)
     box[c.k - lo[0], c.l - lo[1]] = c.v
-    values = _stamped_grid(F, box, (F + r * lo[0], F + r * lo[1]), psi, r)
+    values = _stamped_grid(F, lambda: box, (F + r * lo[0], F + r * lo[1]), psi, r)
     provenance = {"generator": "lattice_symbol", "resolution": r, "center": [0, 0]}
     return SymbolGrid(2, F, values, 1.0 / r, provenance)
 
@@ -242,9 +243,12 @@ class _BlockFamily:
     from SignAssignment(block_seed(key, draw)).  Its symbol puts a psi bump at
     each (j, k) in coordinates centered at `center`, dilated by
     2^-dilation(key); its test function puts one phi_hat bump at each j in I.
-    A config supplies block_keys, interval, center, weights and provenance,
-    and a dilated family its dilation.
+    A config supplies block_keys, interval, center, weights, provenance and
+    phi_hat, and a dilated family its dilation.  Both bumps are fixed by the
+    construction: they are class constants, not settings.
     """
+
+    psi = _PSI
 
     def block_seed(self, key: int, draw: int = 0) -> int:
         """Sign seed of draw `draw` for block `key`, hashed from the master seed."""
@@ -274,7 +278,7 @@ class _BlockFamily:
         center, F = self._layout(key, center)
         r = self.resolution
         corner = (F + r * (self.interval(key).start - center),) * 2
-        values = _stamped_grid(F, self.block_coefficients(key, seed), corner, self.psi, r)
+        values = _stamped_grid(F, lambda: self.block_coefficients(key, seed), corner, self.psi, r)
         spacing = 2.0 ** -self.dilation(key) / r
         return SymbolGrid(2, F, values, spacing, self.provenance(key, seed, center))
 
@@ -306,7 +310,7 @@ class _BlockFamily:
         """One phi_hat bump per block index, on the torus of period r * 2^dilation."""
         center, F = self._layout(key, center)
         r = self.resolution
-        box = FrequencyBox(1, F, self.oversample, float(r) * 2 ** self.dilation(key))
+        box = FrequencyBox(1, F, oversample=2, period=float(r) * 2 ** self.dilation(key))
         local = [j - center for j in self.interval(key)]
         return SpectralVector(box, _bump_train(self.phi_hat, F, r, local))
 
@@ -321,18 +325,15 @@ class CounterexampleAConfig(_BlockFamily):
 
     block_b: strictly increasing with b_{K+1} > 2 b_K, so the blocks are
     pairwise disjoint.  dstar_exponent fixes the magnitude family
-    d*(t) = t^(-dstar_exponent).  psi is the 2n-dim symbol bump, phi_hat the
-    frequency bump of the companion test functions (plateau covering psi's
-    support).
+    d*(t) = t^(-dstar_exponent).  The companion test functions' bump phi_hat
+    has a plateau covering psi's support.
     """
 
     block_b: tuple[int, ...]
     dstar_exponent: float
     master_seed: int
     resolution: int = 20
-    psi: BumpSpec = BumpSpec(radius=0.1, plateau=0.05)
-    phi_hat: BumpSpec = BumpSpec(radius=0.2, plateau=0.1)
-    oversample: int = 2
+    phi_hat = _PHI_HAT
 
     def __post_init__(self):
         bs = tuple(int(b) for b in self.block_b)
@@ -407,9 +408,7 @@ class CounterexampleBConfig(_BlockFamily):
     Ns: tuple[int, ...]
     master_seed: int
     resolution: int = 20
-    psi: BumpSpec = BumpSpec(radius=0.1, plateau=0.05)
-    phi_hat: BumpSpec = BumpSpec(radius=0.05)
-    oversample: int = 2
+    phi_hat = BumpSpec(radius=0.05)
 
     def __post_init__(self):
         if self.mode not in ("paper", "desk"):
@@ -522,11 +521,12 @@ def _lp_cutoffs(m: SymbolGrid, k_max: int | None = None) -> list[np.ndarray]:
     return c[:1] + [c[k] - c[k - 1] for k in range(1, k_max + 1)]
 
 
-def besov_norm(m: SymbolGrid, k_max: int | None = None) -> float:
-    """Truncated sum over k of 2^(nk/2) * weak-l4 norm of the k-th dyadic piece."""
+def besov_norm(m: SymbolGrid) -> float:
+    """Sum over k of 2^(nk/2) * weak-l4 norm of the k-th dyadic piece; the pieces
+    past `_lp_cutoffs`' default k_max are exactly 0.0, so the sum is complete."""
     mhat = np.fft.fftn(m.values)
     total = 0.0
-    for k, phi in enumerate(_lp_cutoffs(m, k_max)):
+    for k, phi in enumerate(_lp_cutoffs(m)):
         piece = MeasuredValues.of(np.fft.ifftn(mhat * phi), m.cell_measure)
         total += 2.0 ** (m.n * k / 2.0) * weak_quasinorm(piece, 4.0)
     return total

@@ -7,6 +7,7 @@ benchmark run.
 """
 
 import ast
+import dataclasses
 import importlib
 import importlib.util
 import re
@@ -19,6 +20,7 @@ import pytest
 import bimult
 import bimult.wavelets
 from bimult.bilinear import SymbolGrid
+from bimult.symbols import CounterexampleAConfig, CounterexampleBConfig
 
 MODULES = (
     "bimult.bumps",
@@ -121,6 +123,19 @@ def test_one_writer_and_one_overwrite_guard():
                    if isinstance(node, ast.FunctionDef) and node.name == "_guard_overwrite"]
     assert sites == ["cli._write_outputs"]
     assert guards == ["cli"]
+
+
+@pytest.mark.parametrize(
+    "config, settings",
+    [
+        (CounterexampleAConfig, ("block_b", "dstar_exponent", "master_seed", "resolution")),
+        (CounterexampleBConfig, ("mode", "Ns", "master_seed", "resolution")),
+    ],
+    ids=["A", "B"],
+)
+def test_block_configs_hold_only_settings_callers_set(config, settings):
+    # the bumps and the oversampling are fixed by the constructions: class constants
+    assert tuple(f.name for f in dataclasses.fields(config)) == settings
 
 
 @pytest.mark.parametrize("module", MODULES)

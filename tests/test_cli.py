@@ -11,6 +11,7 @@ import pytest
 
 import bimult.bilinear
 import bimult.cli
+import bimult.symbols
 from bimult.bilinear import SymbolGrid, apply_bilinear, operator_ratio, output_spectrum
 from bimult.cli import read_symbol, run, write_symbol
 from bimult.experiments import config_hash
@@ -775,6 +776,23 @@ def test_gen_symbol_bad_block_config_is_one_line_error(tmp_path, capsys, matrix_
 
 
 @pytest.mark.parametrize(
+    "argv", [["--kind", "block-B", "--N", "25"], ["--kind", "block-A", "--K", "15"]],
+    ids=["B-N25", "A-K15"],
+)
+def test_gen_symbol_oversized_block_is_refused_before_any_sign(tmp_path, capsys, monkeypatch,
+                                                               argv):
+    # 2.25e15 and 2.1e9 anti-diagonal signs: the grid must be refused before they are drawn
+    def no_signs(self, ls):
+        raise AssertionError(f"{len(ls)} signs drawn before the grid was allocated")
+
+    monkeypatch.setattr(bimult.symbols.SignAssignment, "signs", no_signs)
+    out = tmp_path / "sym.bin"
+    assert run(["gen-symbol", *argv, "--seed", "1", "--out", str(out)]) == 1
+    assert _one_line_error(capsys, naming="array is too big")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
     "key", [1_000_000, 2**62], ids=["grid-too-large", "grid-side-overflows"]
 )
 def test_gen_symbol_key_far_from_origin_is_one_line_error(tmp_path, capsys, key):
@@ -832,6 +850,29 @@ def test_experiment_non_object_config_is_one_line_error(tmp_path, capsys):
     argv = ["experiment", "khintchine", "--config", str(config), "--seed", "1", "--out", str(out)]
     assert run(argv) == 1
     assert _one_line_error(capsys, naming="JSON object")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["gen-symbol", "decompose", "apply", "experiment",
+                                     "report"])
+def test_deeply_nested_json_is_one_line_error(tmp_path, capsys, command):
+    # deeper than the interpreter's recursion limit: json raises RecursionError
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 200_000)
+    out = tmp_path / "out"
+    sym, (_, gpath) = _apply_inputs(tmp_path, lambda rng, n: rng.standard_normal(n) + 0j)
+    argv = {
+        "gen-symbol": ["gen-symbol", "--kind", "lattice", "--coeffs", str(deep), "--seed", "1",
+                       "--out", str(out)],
+        "decompose": ["decompose", "--in", str(deep), "--out", str(out)],
+        "apply": ["apply", "--symbol", sym, "--f", str(deep), "--g", gpath, "--out", str(out)],
+        "experiment": ["experiment", "khintchine", "--config", str(deep), "--seed", "1",
+                       "--out", str(out)],
+        "report": ["report", str(deep), "--out", str(out)],
+    }[command]
+    capsys.readouterr()
+    assert run(argv) == 1
+    assert _one_line_error(capsys, naming="recursion")
     assert not out.exists()
 
 

@@ -222,9 +222,10 @@ def test_levelset_grid_is_block_centered(monkeypatch):
     assert max(row["dualPathRelErr"] for row in rows if "dualPathRelErr" in row) < 1e-12
 
 
-def test_levelset_zero_above_sup():
+def test_levelset_zero_above_sup(monkeypatch):
+    monkeypatch.setattr(bimult.experiments, "_LEVELSET_FRACTIONS", (1.5,))
     cfg = CounterexampleBConfig(mode="paper", Ns=(2,), master_seed=1)
-    rows = levelset_profile(cfg, lambda_fractions=(1.5,))
+    rows = levelset_profile(cfg)
     assert rows[0]["coeffMeasure"] == 0.0
 
 
@@ -288,7 +289,7 @@ def test_growth_refuses_a_non_finite_ratio():
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_record_with_nan_or_infinity_is_refused(tmp_path, monkeypatch, capsys, value):
-    bad = ExperimentRecord("growth-A", {}, 1, [{"measured": value}], {"passed": True}, 0.0)
+    bad = ExperimentRecord("growth-A", {}, 1, [{"measured": value}], {"passed": True})
     with pytest.raises(ValueError, match="growth-A record holds NaN or Infinity"):
         bad.to_json_line()
     monkeypatch.setattr(bimult.cli, "run_experiment", lambda *args, **kwargs: bad)
