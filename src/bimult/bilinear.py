@@ -8,7 +8,6 @@ The operator output is band-limited to [-2F_in, 2F_in] per axis.
 
 from __future__ import annotations
 
-import itertools
 from collections.abc import Iterable
 from dataclasses import dataclass, field
 
@@ -166,19 +165,15 @@ def stream_output_spectrum(
     _check_compat(n, radius, spacing, f, g)
     F = f.box.radius
     band = _band(radius, F, n)
-    box_shape = f.box.lattice_shape
-    # position of each xi of f's box among the symbol's rows
-    at = np.ravel_multi_index(np.indices(box_shape).reshape(n, -1) + radius - F,
-                              (2 * radius + 1,) * n)
-    wanted = dict(zip(at.tolist(), itertools.product(*map(range, box_shape))))
 
     def band_rows():
         start = 0
         for chunk, nonzero in chunks:
-            for k in np.flatnonzero(nonzero).tolist():
-                xi = wanted.get(start + k)
-                if xi is not None:
-                    yield xi, chunk[k][band]
+            ks = np.flatnonzero(nonzero)  # summed if their xi, below, lies in f's box
+            xis = np.transpose(np.unravel_index(start + ks, (2 * radius + 1,) * n)) - (radius - F)
+            inside = np.all((xis >= 0) & (xis <= 2 * F), axis=1)
+            for k, xi in zip(ks[inside].tolist(), xis[inside].tolist()):
+                yield tuple(xi), chunk[k][band]
             start += len(chunk)
 
     return _accumulate(band_rows(), f, g)

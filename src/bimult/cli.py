@@ -334,8 +334,8 @@ def _cmd_report(args) -> int:
     return 0
 
 
-@functools.cache  # built once per process: parse_args leaves the parser unchanged
-def build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=1)  # built once per process: parse_args leaves it unchanged
+def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="bimult",
         description="Bilinear multiplier laboratory: symbols, decompositions, experiments.",
@@ -394,7 +394,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def run(argv=None) -> int:
-    parser = build_parser()
+    parser = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

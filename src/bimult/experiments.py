@@ -10,6 +10,7 @@ byte-identical.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
@@ -343,8 +344,9 @@ def _sign_pool_ratios(
         padded = np.zeros((len(draws), P), dtype=complex)
         padded[:, box.frequencies() % P] = signs[:, diag] * U.values
         with np.errstate(over="ignore", invalid="ignore"):  # _growth_rows refuses inf and NaN
-            samples = np.fft.ifft(padded, axis=-1) * P
-            return (np.abs(samples).sum(axis=-1) * box.cell_measure / (nf * nf)).tolist()
+            np.fft.ifft(padded, axis=-1, out=padded)
+            padded *= P
+            return (np.abs(padded).sum(axis=-1) * box.cell_measure / (nf * nf)).tolist()
 
     blocks = _map_ordered(ratios_for, range(0, pool, _POOL_BLOCK), threads)
     return [ratio for block in blocks for ratio in block]
@@ -459,11 +461,22 @@ def _random_inputs(box: FrequencyBox, rng: np.random.Generator) -> SpectralVecto
     return SpectralVector(box, vals)
 
 
+@functools.lru_cache(maxsize=4)
 def _aligned_inputs(box: FrequencyBox, resolution: int) -> SpectralVector:
-    """All-ones bumps at the integer lattice frequencies inside the band."""
+    """All-ones bumps at the integer lattice frequencies inside the band (read-only)."""
     F = box.radius
-    centers = range(-F // resolution, F // resolution + 1)
-    return SpectralVector(box, _bump_train(_PHI_HAT, F, resolution, centers))
+    values = _bump_train(_PHI_HAT, F, resolution, range(-F // resolution, F // resolution + 1))
+    values.flags.writeable = False
+    return SpectralVector(box, values)
+
+
+@functools.lru_cache(maxsize=4)
+def _ball_mask(P: int, h: float, k: int) -> np.ndarray:
+    """Where a P x P grid of spacing h has its DFT frequency in the ball |w| <= 2^k (read-only)."""
+    freqs = np.fft.fftfreq(P, d=h)
+    mask = np.hypot(freqs[:, None], freqs) <= 2.0**k
+    mask.flags.writeable = False
+    return mask
 
 
 def _corpus_symbol(f_mode: str, rng, resolution: int):
@@ -485,14 +498,11 @@ def _corpus_symbol(f_mode: str, rng, resolution: int):
         F = resolution * (M + 1)
         P = 2 * F + 1
         h = 1.0 / resolution
-        freqs = np.fft.fftfreq(P, d=h)
-        w1, w2 = np.meshgrid(freqs, freqs, indexing="ij")
-        mask = np.hypot(w1, w2) <= 2.0**k
+        mask = _ball_mask(P, h, k)
         spec = np.zeros((P, P), dtype=complex)
         cnt = int(np.count_nonzero(mask))
         spec[mask] = rng.standard_normal(cnt) + 1j * rng.standard_normal(cnt)
-        vals = np.fft.ifft2(spec)
-        m = SymbolGrid(2, F, vals, spacing=h)
+        m = SymbolGrid(2, F, np.fft.ifft2(spec), spacing=h)
         norm = 2.0 ** (m.n * k / 2.0) * weak_quasinorm(m.measured(), 4.0)
         return m, norm
     raise ValueError(f"unknown fMode {f_mode!r}")

@@ -8,6 +8,7 @@ attained at the breakpoints t_j = j * cell, so no lambda sweep is needed.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,6 +39,14 @@ class MeasuredValues:
         return cls(np.abs(np.asarray(values)).ravel(), cell_measure)
 
 
+@functools.lru_cache(maxsize=2)
+def _breakpoint_powers(size: int, cell: float, q: float) -> np.ndarray:
+    """t_j^(1/q) at the breakpoints t_j = j * cell, j = 1..size (read-only)."""
+    powers = (cell * np.arange(1, size + 1)) ** (1.0 / q)
+    powers.flags.writeable = False
+    return powers
+
+
 def weak_quasinorm(v: MeasuredValues, q: float) -> float:
     """sup over breakpoints of (j*cell)^(1/q) * (j-th largest magnitude)."""
     if not q > 0:
@@ -45,5 +54,4 @@ def weak_quasinorm(v: MeasuredValues, q: float) -> float:
     if v.magnitudes.size == 0:
         return 0.0
     s = np.sort(v.magnitudes)[::-1]  # the non-increasing rearrangement
-    t = v.cell_measure * np.arange(1, s.size + 1)  # its breakpoints t_j = j * cell
-    return float(np.max(t ** (1.0 / q) * s))
+    return float(np.max(_breakpoint_powers(s.size, v.cell_measure, q) * s))

@@ -15,6 +15,7 @@ grids small for blocks that sit far from the origin.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import operator
 from dataclasses import dataclass, field
@@ -145,6 +146,7 @@ def power_shell_sequence(box_radius: int, exponent: float) -> ShellSequence:
 
 _PSI = BumpSpec(radius=0.1, plateau=0.05)  # every symbol bump: radius 1/10 keeps them disjoint
 _PHI_HAT = BumpSpec(radius=0.2, plateau=0.1)  # a test-function bump: its plateau covers _PSI
+_BOX_PART = 4096  # lattice_symbol stamps its coefficient box in parts of about this many cells
 
 
 def _check_symbol_grid(psi: BumpSpec, resolution: int) -> None:
@@ -188,13 +190,15 @@ def _stamp(coeffs: np.ndarray, corner: tuple[int, int], psi: BumpSpec, resolutio
     return R, C, S.reshape(len(R), len(C))
 
 
-def _stamped_grid(F: int, coeffs, corner: tuple, psi: BumpSpec, resolution: int):
-    """The (2F+1)^2 samples of the stamp of the coefficient box `coeffs()` at `corner`.
-    The grid is allocated before `coeffs` is called, so one too large to hold is
-    refused before any coefficient is drawn or stamped."""
+def _stamped_grid(F: int, parts, corner: tuple, psi: BumpSpec, resolution: int):
+    """The (2F+1)^2 samples of the stamp at `corner` of a coefficient box that `parts()`
+    yields as (i, rows), its rows from row i on, each stamped straight into the grid;
+    rows left out are all zero, and keep the +0.0 their stamp would give.  The grid is
+    allocated first, so one too large to hold is refused before any coefficient is drawn."""
     values = np.zeros((2 * F + 1, 2 * F + 1), dtype=complex)
-    R, C, S = _stamp(coeffs(), corner, psi, resolution)
-    values[np.ix_(R, C)] = S
+    for i, rows in parts():
+        R, C, S = _stamp(rows, (corner[0] + resolution * i, corner[1]), psi, resolution)
+        values[np.ix_(R, C)] = S
     return values
 
 
@@ -217,9 +221,17 @@ def lattice_symbol(c: CoeffMatrix, psi: BumpSpec, resolution: int) -> SymbolGrid
     lo = [int(c.k.min()), int(c.l.min())]  # Python ints: F cannot wrap
     hi = [int(c.k.max()), int(c.l.max())]
     F = r * (max(map(abs, lo + hi)) + 1)
-    box = np.zeros((hi[0] - lo[0] + 1, hi[1] - lo[1] + 1), dtype=complex)
-    box[c.k - lo[0], c.l - lo[1]] = c.v
-    values = _stamped_grid(F, lambda: box, (F + r * lo[0], F + r * lo[1]), psi, r)
+    height, width = hi[0] - lo[0] + 1, hi[1] - lo[1] + 1
+    n = max(1, _BOX_PART // width)
+
+    def box_parts():  # the box in parts of n whole rows, parts without a key left out
+        for i in range(0, height, n):
+            at = np.flatnonzero((c.k >= lo[0] + i) & (c.k < lo[0] + i + n))
+            if at.size:
+                part = np.zeros((min(n, height - i), width), dtype=complex)
+                part[c.k[at] - lo[0] - i, c.l[at] - lo[1]] = c.v[at]
+                yield i, part
+    values = _stamped_grid(F, box_parts, (F + r * lo[0], F + r * lo[1]), psi, r)
     provenance = {"generator": "lattice_symbol", "resolution": r, "center": [0, 0]}
     return SymbolGrid(2, F, values, 1.0 / r, provenance)
 
@@ -278,7 +290,8 @@ class _BlockFamily:
         center, F = self._layout(key, center)
         r = self.resolution
         corner = (F + r * (self.interval(key).start - center),) * 2
-        values = _stamped_grid(F, lambda: self.block_coefficients(key, seed), corner, self.psi, r)
+        values = _stamped_grid(F, lambda: [(0, self.block_coefficients(key, seed))], corner,
+                               self.psi, r)
         spacing = 2.0 ** -self.dilation(key) / r
         return SymbolGrid(2, F, values, spacing, self.provenance(key, seed, center))
 
@@ -503,22 +516,26 @@ def test_function_B(
 # dyadic frequency decomposition and the Besov norm
 
 
-def _lp_cutoffs(m: SymbolGrid, k_max: int | None = None) -> list[np.ndarray]:
-    """Dyadic cutoffs phi_0 = c_0, phi_k = c_k - c_{k-1} (k <= k_max) on m's DFT radius
-    grid, c_k = smooth_step((1.5 - rho / 2^k) / 0.5): 1 on rho <= 2^k, 0 on rho >= 1.5 2^k.
+@functools.lru_cache(maxsize=4)
+def _lp_cutoffs(dim: int, radius: int, spacing: float, k_max: int | None = None) -> np.ndarray:
+    """Dyadic cutoffs phi_0 = c_0, phi_k = c_k - c_{k-1} (k <= k_max), stacked and
+    read-only, on the DFT radius grid of a symbol of this shape, with
+    c_k = smooth_step((1.5 - rho / 2^k) / 0.5): 1 on rho <= 2^k, 0 on rho >= 1.5 2^k.
 
     The default k_max is the first k with 2^k >= band = sqrt(dim) / (2 spacing).  Every
     DFT radius on the grid is below band, so c_k is exactly 1.0 at every sample for
     k >= k_max, and every later phi_k is exactly 0.0: it adds nothing to any sum.
     """
     if k_max is None:
-        band = 0.5 / m.spacing * np.sqrt(m.dim)
+        band = 0.5 / spacing * np.sqrt(dim)
         k_max = int(np.ceil(np.log2(max(band, 2.0))))
-    freqs = np.fft.fftfreq(2 * m.radius + 1, d=m.spacing)
-    grids = np.meshgrid(*([freqs] * m.dim), indexing="ij", sparse=True)
+    freqs = np.fft.fftfreq(2 * radius + 1, d=spacing)
+    grids = np.meshgrid(*([freqs] * dim), indexing="ij", sparse=True)
     rho = np.sqrt(sum(g**2 for g in grids))
     c = [smooth_step((1.5 - rho / 2.0**k) / 0.5) for k in range(k_max + 1)]
-    return c[:1] + [c[k] - c[k - 1] for k in range(1, k_max + 1)]
+    phis = np.array(c[:1] + [c[k] - c[k - 1] for k in range(1, k_max + 1)])
+    phis.flags.writeable = False
+    return phis
 
 
 def besov_norm(m: SymbolGrid) -> float:
@@ -526,7 +543,7 @@ def besov_norm(m: SymbolGrid) -> float:
     past `_lp_cutoffs`' default k_max are exactly 0.0, so the sum is complete."""
     mhat = np.fft.fftn(m.values)
     total = 0.0
-    for k, phi in enumerate(_lp_cutoffs(m)):
+    for k, phi in enumerate(_lp_cutoffs(m.dim, m.radius, m.spacing)):
         piece = MeasuredValues.of(np.fft.ifftn(mhat * phi), m.cell_measure)
         total += 2.0 ** (m.n * k / 2.0) * weak_quasinorm(piece, 4.0)
     return total

@@ -125,6 +125,63 @@ def test_one_writer_and_one_overwrite_guard():
     assert guards == ["cli"]
 
 
+def _cache_name(node) -> str | None:
+    """"cache" or "lru_cache" when `node` names that `functools` memoizer, with or without
+    its module; else None."""
+    if isinstance(node, ast.Attribute):
+        name = node.attr
+    elif isinstance(node, ast.Name):
+        name = node.id
+    else:
+        return None
+    return name if name in ("cache", "lru_cache") else None
+
+
+def _bounded(decorator) -> bool:
+    """`lru_cache(n)` or `lru_cache(maxsize=n)`, n a positive integer literal."""
+    if not (isinstance(decorator, ast.Call) and _cache_name(decorator.func) == "lru_cache"):
+        return False
+    sizes = decorator.args[:1] + [kw.value for kw in decorator.keywords if kw.arg == "maxsize"]
+    return (len(sizes) == 1 and isinstance(sizes[0], ast.Constant)
+            and type(sizes[0].value) is int and sizes[0].value > 0)
+
+
+def _cache_faults(source: str) -> list[int]:
+    """The line of each cache in `source` that is not a bounded decorator of a private
+    function."""
+    tree = ast.parse(source)
+    allowed = set()
+    for fn in ast.walk(tree):
+        if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and fn.name.startswith("_"):
+            allowed.update(id(d.func) for d in fn.decorator_list if _bounded(d))
+    return [node.lineno for node in ast.walk(tree) if _cache_name(node) and id(node) not in allowed]
+
+
+@pytest.mark.parametrize(
+    "source, faults",
+    [
+        ("@functools.lru_cache(maxsize=4)\ndef _f(): pass", []),
+        ("@lru_cache(2)\ndef _f(): pass", []),
+        ("@functools.cache\ndef _f(): pass", [1]),
+        ("@cache(4)\ndef _f(): pass", [1]),
+        ("@functools.lru_cache\ndef _f(): pass", [1]),
+        ("@functools.lru_cache(maxsize=None)\ndef _f(): pass", [1]),
+        ("@functools.lru_cache(typed=True)\ndef _f(): pass", [1]),
+        ("@functools.lru_cache(maxsize=4)\ndef f(): pass", [1]),
+        ("x = 1\ng = functools.lru_cache(maxsize=4)(h)", [2]),
+    ],
+)
+def test_cache_guard_finds_each_unbounded_or_public_cache(source, faults):
+    assert _cache_faults(source) == faults
+
+
+def test_every_cache_is_bounded_and_private():
+    # a shape table is built once per process: unbounded, its cache would grow with every
+    # shape a run meets; on a public name, callers would share one mutable result
+    faults = {path.name: _cache_faults(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    assert {name: lines for name, lines in faults.items() if lines} == {}
+
+
 @pytest.mark.parametrize(
     "config, settings",
     [

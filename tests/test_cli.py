@@ -836,8 +836,8 @@ def test_runs_in_one_process_share_no_parser_state(tmp_path, capsys, matrix_file
                 "--out", sym]) == 1
     assert run(["decompose", "--in", matrix_file, "--out", str(part), "--force"]) == 0
     assert json.loads(part.read_text()) == [[0, 0, "S1"]]
-    parser = bimult.cli.build_parser()
-    assert parser is bimult.cli.build_parser()
+    parser = bimult.cli._build_parser()
+    assert parser is bimult.cli._build_parser()
     first = parser.parse_args(["gen-symbol", "--kind", "block-B", "--N", "2", "--out", "x"])
     second = parser.parse_args(["gen-symbol", "--kind", "lattice", "--out", "y"])
     assert (first.N, first.force, second.N, second.force) == (2, False, 1, False)

@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -11,6 +12,7 @@ import pytest
 
 import bimult.cli
 import bimult.experiments
+import bimult.lorentz
 import bimult.symbols
 from bimult.experiments import (
     EXPERIMENTS,
@@ -25,6 +27,7 @@ from bimult.experiments import (
     substream,
 )
 from bimult.bilinear import operator_ratio
+from bimult.grid import FrequencyBox
 from bimult.experiments import (
     _POOL_BLOCK,
     _sign_pool_ratios,
@@ -235,6 +238,55 @@ def test_boundedness_corpus_normalization_invariant():
     res = boundedness_corpus("lattice", trials=5, master_seed=11)
     assert res["maxNormalizedRatio"] <= 3.0 * res["baseline"]
     assert res["baseline"] == pytest.approx(1.0, rel=1e-9)
+
+
+# the tables that depend on a grid's shape alone, each built once per shape, with the
+# shape of one the boundedness corpus uses
+_SHAPE_TABLES = {
+    "lp_cutoffs": (bimult.symbols._lp_cutoffs, (2, 50, 0.1)),
+    "breakpoint_powers": (bimult.lorentz._breakpoint_powers, (101**2, 0.1**2, 4.0)),
+    "aligned_inputs": (bimult.experiments._aligned_inputs, (FrequencyBox(1, 16, 2, 10.0), 10)),
+    "ball_mask": (bimult.experiments._ball_mask, (101, 0.1, 2)),
+}
+
+
+def _table_array(table, shape) -> np.ndarray:
+    result = table(*shape)
+    return getattr(result, "values", result)  # a SpectralVector's, or the array itself
+
+
+@pytest.mark.parametrize("name", _SHAPE_TABLES)
+def test_shape_table_equals_its_rebuild_and_is_read_only(name):
+    table, shape = _SHAPE_TABLES[name]
+    cached = _table_array(table, shape)
+    assert _table_array(table, shape) is cached  # built once
+    table.cache_clear()
+    rebuilt = _table_array(table, shape)
+    assert rebuilt is not cached
+    assert cached.dtype == rebuilt.dtype and cached.shape == rebuilt.shape
+    assert np.array_equal(cached.view(np.uint8), rebuilt.view(np.uint8))
+    with pytest.raises(ValueError, match="read-only"):
+        cached[(0,) * cached.ndim] = 0
+
+
+@pytest.mark.parametrize("f_mode", ["lattice", "besov", "fourier_compact"])
+def test_boundedness_bytes_at_any_thread_count_from_cold_or_warm_tables(f_mode):
+    # threads that build a shape table at once, or read one built before, give the same
+    # bytes; a short switch interval makes the threads interleave inside the builds
+    config = {"f_mode": f_mode, "trials": 4}
+    lines = set()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in (1, 2, 4):
+            for table, _ in _SHAPE_TABLES.values():
+                table.cache_clear()
+            for _ in ("cold", "warm"):
+                record = run_experiment("boundedness", config, MASTER_SEED, threads)
+                lines.add(record.to_json_line())
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(lines) == 1
 
 
 def test_record_serialization_round_trip(tmp_path):

@@ -3,12 +3,14 @@
 import functools
 import hashlib
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bimult.symbols
 from bimult.bilinear import SymbolGrid, operator_ratio, output_spectrum
 from bimult.bumps import BumpSpec
 from bimult.grid import FrequencyBox, SpectralVector, l2_norm
@@ -96,6 +98,38 @@ def test_box_stamp_equals_per_offset_scatters(entries, resolution, radius, plate
     m = lattice_symbol(CoeffMatrix(entries), psi, resolution)
     kl = np.array(list(entries), dtype=np.int64)
     oracle = _stamp_by_offset(kl, np.array(list(entries.values())), psi, resolution, m.radius)
+    assert np.array_equal(m.values.view(np.uint64), oracle.view(np.uint64))
+
+
+@pytest.mark.parametrize("part", [1, 123, 4096])
+def test_lattice_symbol_in_box_parts_equals_per_offset_scatters(monkeypatch, part):
+    # the 41 x 41 box in parts of 1 row, of 3 rows (the last one shorter), and whole;
+    # some parts hold no key and are left out
+    monkeypatch.setattr(bimult.symbols, "_BOX_PART", part)
+    rng = np.random.default_rng(part)
+    kl = np.unique(np.vstack([rng.integers(-20, 21, size=(60, 2)), [[-20, -20], [20, 20]]]),
+                   axis=0)
+    v = rng.standard_normal(len(kl)) + 1j * rng.standard_normal(len(kl))
+    v[:3] = [complex(-0.0, 0.0), complex(0.0, -0.0), 0.0]
+    m = lattice_symbol(CoeffMatrix(dict(zip(map(tuple, kl.tolist()), v))), PSI, 12)
+    oracle = _stamp_by_offset(kl, v, PSI, 12, m.radius)
+    assert np.array_equal(m.values.view(np.uint64), oracle.view(np.uint64))
+
+
+def test_lattice_symbol_holds_no_box_beside_its_grid():
+    # two keys far apart at r = 1: the dense 401^2 coefficient box and its stamp, 2.5 MiB
+    # each, once sat beside the 2.5 MiB grid (a 7.5 MiB peak); now the grid is the peak
+    kl = np.array([[-200, -200], [200, 200]])
+    v = np.array([1.0 + 2.0j, -3.0])
+    c = CoeffMatrix(dict(zip(map(tuple, kl.tolist()), v)))
+    tracemalloc.start()
+    try:
+        m = lattice_symbol(c, PSI, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= m.values.nbytes + 2**20
+    oracle = _stamp_by_offset(kl, v, PSI, 1, m.radius)
     assert np.array_equal(m.values.view(np.uint64), oracle.view(np.uint64))
 
 
@@ -465,7 +499,7 @@ def band_limited_symbol(radius_cap, seed, F=24, res=8):
 def lp_pieces(m, k_max):
     """The dyadic pieces besov_norm measures: m filtered through each cutoff."""
     mhat = np.fft.fftn(m.values)
-    return [np.fft.ifftn(mhat * phi) for phi in _lp_cutoffs(m, k_max)]
+    return [np.fft.ifftn(mhat * phi) for phi in _lp_cutoffs(m.dim, m.radius, m.spacing, k_max)]
 
 
 def test_lp_piece_band_limited_identity():
@@ -521,7 +555,8 @@ def test_besov_norm_makes_one_forward_fft(monkeypatch):
 def test_besov_norm_default_drops_only_zero_pieces():
     m = band_limited_symbol(2.0, 5, F=50, res=10)
     k0 = 3  # first k with 2^k >= band = sqrt(2) * 5
-    default, longer = _lp_cutoffs(m), _lp_cutoffs(m, k0 + 2)
+    shape = (m.dim, m.radius, m.spacing)
+    default, longer = _lp_cutoffs(*shape), _lp_cutoffs(*shape, k0 + 2)
     assert len(default) == k0 + 1
     for phi, same in zip(default, longer):
         assert np.array_equal(phi.view(np.uint64), same.view(np.uint64))
